@@ -1,13 +1,13 @@
 #!/usr/bin/env sh
-# Offline CI gate: formatting, lints, and the tier-1 verify.
-# `crates/bench` is intentionally outside the workspace (it needs
-# criterion, which offline environments cannot fetch).
+# Offline CI gate: formatting, lints, the tier-1 verify, and every test
+# in the workspace.
 set -eux
 
 cargo fmt --all --check
 cargo clippy --workspace --all-targets -- -D warnings
 cargo build --release
 cargo test -q
+cargo test --workspace -q
 # Path-sensitive lint self-checks first, by name: the event-grammar
 # typestate and cost-unit flow lints each must flag their violating
 # fixture and stay quiet on their clean twin, so a regression in the

@@ -4,22 +4,21 @@
 //! Replays four tenants through one shared four-shard
 //! `ConcurrentSession` at 1, 2 and 4 worker threads and reports
 //! events/second per configuration, `std::time::Instant`-timed like the
-//! other offline benches (the criterion benches cannot run in this
-//! container). The JSON report (`BENCH_concurrent.json` via `--out`)
+//! other offline benches. The JSON report (`BENCH_concurrent.json` via `--out`)
 //! records `available_parallelism` alongside the timings: on a
 //! single-CPU host the thread axis measures contention overhead, not
 //! speedup, and consumers must interpret the ratios in that light
 //! rather than assert a fixed scaling factor.
 
+use crate::bench_io::min_secs;
 use crate::Options;
+use cce_core::{ConcurrentSession, Granularity, TenantConfig};
 use cce_dbt::SharedTrace;
 use cce_sim::pressure::{capacity_for_pressure, TraceSizing};
 use cce_sim::report::TextTable;
-use cce_sim::simulator::SimConfig;
-use cce_sim::{simulate_concurrent, ConcurrentSimConfig};
+use cce_sim::Replay;
 use cce_util::Json;
 use cce_workloads::catalog;
-use std::time::Instant;
 
 /// Timing repetitions; the minimum is reported.
 const REPS: usize = 3;
@@ -29,21 +28,6 @@ const THREADS: [usize; 3] = [1, 2, 4];
 
 /// Tenants per run (one trace each).
 const TENANTS: [&str; 4] = ["gzip", "crafty", "gcc", "perlbmk"];
-
-fn min_secs<T>(reps: usize, mut f: impl FnMut() -> T) -> (f64, T) {
-    let mut best = f64::INFINITY;
-    let mut last = None;
-    for _ in 0..reps.max(1) {
-        // cce-analyze: allow(nondet-taint): wall-clock timing is the benchmark's measurement, not cache state
-        let t0 = Instant::now();
-        let out = f();
-        best = best.min(t0.elapsed().as_secs_f64());
-        last = Some(out);
-    }
-    // `reps >= 1`, so a result is always present.
-    let Some(out) = last else { unreachable!() };
-    (best, out)
-}
 
 /// Runs the benchmark; writes `BENCH_concurrent.json` to `--out` if
 /// given and returns a human-readable table either way.
@@ -76,17 +60,18 @@ pub fn bench_concurrent(opts: &Options) -> Result<String, String> {
     let mut rows = Vec::with_capacity(THREADS.len());
     let mut baseline = None;
     for threads in THREADS {
-        let cfg = ConcurrentSimConfig {
-            sim: SimConfig {
-                capacity,
-                ..SimConfig::default()
-            },
-            shards: 4,
-            threads,
-            ..ConcurrentSimConfig::default()
-        };
+        // A fresh session per repetition: every run starts cold.
         let (secs, results) = min_secs(REPS, || {
-            simulate_concurrent(&traces, &cfg).map_err(|e| e.to_string())
+            let tenants = traces
+                .iter()
+                .map(|_| TenantConfig::with_granularity(Granularity::Superblock, capacity))
+                .collect();
+            let session = ConcurrentSession::new(tenants, 4, None).map_err(|e| e.to_string())?;
+            Replay::concurrent(&session, &traces)
+                .threads(threads)
+                .run()
+                .map(cce_sim::ReplayReport::into_tenants)
+                .map_err(|e| e.to_string())
         });
         let results = results?;
         if results.len() != traces.len() {

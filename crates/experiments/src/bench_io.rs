@@ -1,8 +1,6 @@
 //! `bench_trace_io`: the offline trace-I/O micro-benchmark.
 //!
-//! The container this repo builds in has no crates.io access, so the
-//! criterion benches under `crates/bench` cannot run here. This command
-//! is the self-contained equivalent: it times JSON decode vs binary
+//! A dependency-free timing command: it times JSON decode vs binary
 //! decode of the same trace, and in-memory replay vs streaming replay,
 //! with `std::time::Instant` — then emits the comparison as
 //! `BENCH_trace_io.json` (via `--out`) so CI can assert the binary path

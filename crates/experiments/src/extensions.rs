@@ -326,7 +326,6 @@ pub fn multiprog(opts: &Options) -> String {
 /// Reuse-distance analysis: the analytic miss floor under Figure 7.
 pub fn analysis(opts: &Options) -> String {
     use cce_sim::analysis::reuse_profile;
-    use cce_sim::pressure::simulate_at_pressure;
 
     let mut t = TextTable::new(
         "Reuse-distance analysis — why the miss curves look the way they do",
@@ -351,15 +350,15 @@ pub fn analysis(opts: &Options) -> String {
         // Same capacity rule as the simulator (incl. the minimum floor).
         let floor = |p: u32| profile.miss_rate_bound(capacity_for_pressure(max_cache, p));
         let fifo = |p: u32| {
-            simulate_at_pressure(
-                &trace,
-                cce_core::Granularity::Superblock,
-                p,
-                &SimConfig::default(),
-            )
-            .expect("valid trace")
-            .stats
-            .miss_rate()
+            Replay::new(&trace)
+                .config(&SimConfig::default())
+                .granularity(cce_core::Granularity::Superblock)
+                .pressure(p)
+                .run()
+                .expect("valid trace")
+                .into_solo()
+                .stats
+                .miss_rate()
         };
         let kb = |q: f64| {
             profile

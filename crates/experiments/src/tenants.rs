@@ -20,7 +20,7 @@ use cce_sim::metrics::unified_miss_rate;
 use cce_sim::pressure::{capacity_for_pressure, TraceSizing};
 use cce_sim::report::{pct, TextTable};
 use cce_sim::simulator::{SimConfig, SimResult};
-use cce_sim::{simulate_concurrent_with, ConcurrentSimConfig};
+use cce_sim::Replay;
 use cce_workloads::catalog;
 
 /// Small, medium and large working sets — the imbalance the arbiter
@@ -65,15 +65,13 @@ fn run_mode(
         .collect();
     let session =
         ConcurrentSession::new(configs, SHARDS, arbiter).expect("tenant geometry is valid");
-    let cfg = ConcurrentSimConfig {
-        sim: *config,
-        shards: SHARDS,
-        threads: 1,
-        ..ConcurrentSimConfig::default()
-    };
     let traces: Vec<SharedTrace> = tenants.iter().map(|t| t.trace.clone()).collect();
-    let results = simulate_concurrent_with(&session, &traces, &cfg)
-        .expect("generated traces are well-formed");
+    let results = Replay::concurrent(&session, &traces)
+        .config(config)
+        .threads(1)
+        .run()
+        .expect("generated traces are well-formed")
+        .into_tenants();
     let decisions = session.decisions();
     let moved = decisions.iter().map(|d| d.bytes_moved).sum();
     (results, (decisions.len(), moved))

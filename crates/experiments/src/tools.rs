@@ -9,8 +9,7 @@ use cce_dbt::{SharedTrace, TraceLog};
 use cce_sim::pressure::{capacity_for_pressure, effective_granularity, TraceSizing};
 use cce_sim::report::{pct, TextTable};
 use cce_sim::simulator::SimConfig;
-use cce_sim::Replay;
-use cce_sim::{simulate_concurrent, ConcurrentSimConfig};
+use cce_sim::{Replay, ReplayReport};
 use cce_workloads::catalog;
 use std::fmt::Write as _;
 use std::path::Path;
@@ -167,27 +166,27 @@ pub fn replay(opts: &Options) -> Result<String, String> {
             capacity,
             ..SimConfig::default()
         };
+        let replay = Replay::new(&trace).config(&config);
         let r = if tenants > 1 {
-            // N identical guests, one shared concurrent cache; per-tenant
-            // determinism means every tenant must agree with tenant 0.
-            let traces = vec![trace.clone(); tenants as usize];
-            let cfg = ConcurrentSimConfig {
-                sim: config,
-                threads,
-                ..ConcurrentSimConfig::default()
-            };
-            let mut results =
-                simulate_concurrent(&traces, &cfg).map_err(|e| format!("simulate: {e}"))?;
+            // N identical guests, one shared four-shard concurrent cache;
+            // per-tenant determinism means every tenant must agree with
+            // tenant 0.
+            let mut results = replay
+                .shards(4)
+                .tenants(tenants as usize)
+                .threads(threads)
+                .run()
+                .map_err(|e| format!("simulate: {e}"))?
+                .into_tenants();
             if results.iter().any(|r| *r != results[0]) {
                 return Err("tenants replaying the same trace diverged".to_owned());
             }
             // The rows report one guest; swap_remove avoids a clone.
             results.swap_remove(0)
         } else {
-            Replay::new(&trace)
-                .config(&config)
+            replay
                 .run()
-                .map(cce_sim::ReplayReport::into_solo)
+                .map(ReplayReport::into_solo)
                 .map_err(|e| format!("simulate: {e}"))?
         };
         t.row([

@@ -233,7 +233,7 @@ mod tests {
         // Mattson: the bound provably floors LRU's misses. For the
         // FIFO-family it is heuristic; on these deterministic traces it
         // holds as well (checked, not assumed).
-        use crate::pressure::{capacity_for_pressure, simulate_at_pressure};
+        use crate::pressure::capacity_for_pressure;
         use crate::replay::Replay;
         use crate::simulator::SimConfig;
         use cce_core::{CodeCache, Granularity, LruCache};
@@ -257,7 +257,13 @@ mod tests {
                 Granularity::units(8),
                 Granularity::Superblock,
             ] {
-                let r = simulate_at_pressure(&trace, g, pressure, &SimConfig::default()).unwrap();
+                let r = Replay::new(&trace)
+                    .config(&SimConfig::default())
+                    .granularity(g)
+                    .pressure(pressure)
+                    .run()
+                    .unwrap()
+                    .into_solo();
                 assert!(
                     r.stats.miss_rate() >= bound - 1e-9,
                     "{g}@{pressure}: policy {} beat the reuse floor {bound}",

@@ -1,12 +1,14 @@
 //! Multi-tenant concurrent replay over a [`ConcurrentSession`].
 //!
-//! [`simulate_concurrent`] drives N per-tenant traces through one shared
-//! concurrent cache on T worker threads: thread `j` owns tenants `j`,
-//! `j+T`, … and round-robins bounded event slices across its tenants, so
-//! with several tenants per thread their lock acquisitions interleave
-//! the way independent guest programs' would. Each tenant's replay runs
-//! the exact [`SimDriver`] core every single-threaded `simulate_*` entry
-//! point uses, against that tenant's [`cce_core::TenantSession`] handle.
+//! [`run_tenants`] — reached through [`crate::replay::Replay::tenants`]
+//! and [`crate::replay::Replay::concurrent`] — drives N per-tenant
+//! traces through one shared concurrent cache on T worker threads:
+//! thread `j` owns tenants `j`, `j+T`, … and round-robins bounded event
+//! slices across its tenants, so with several tenants per thread their
+//! lock acquisitions interleave the way independent guest programs'
+//! would. Each tenant's replay runs the exact [`SimDriver`] core every
+//! solo replay uses, against that tenant's
+//! [`cce_core::TenantSession`] handle.
 //!
 //! **Determinism:** without an arbiter, every tenant's [`SimResult`] is
 //! byte-identical to its solo single-threaded run at the same capacity
@@ -17,78 +19,25 @@
 //! reproducible only at `threads = 1`.
 
 use crate::simulator::{SimConfig, SimDriver, SimError, SimResult};
-use cce_core::{
-    ArbiterConfig, CacheSession, ConcurrentSession, TenantConfig, TenantId, TenantSession,
-};
+use cce_core::{CacheSession, ConcurrentSession, TenantId, TenantSession};
 use cce_dbt::{SharedTrace, TraceEvent};
 use std::sync::Arc;
 
-/// Configuration of one concurrent multi-tenant replay.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ConcurrentSimConfig {
-    /// Per-tenant cache cell: granularity, **per-tenant** capacity, cost
-    /// models. Each tenant gets its own full `capacity` bytes, split
-    /// over the shards exactly like a solo sharded cache.
-    pub sim: SimConfig,
-    /// Shards of the shared cache.
-    pub shards: u32,
-    /// Worker threads serving the tenants.
-    pub threads: usize,
-    /// Events per round-robin turn within a worker thread.
-    pub slice: usize,
-    /// Enable Memshare-style capacity arbitration between tenants.
-    pub arbiter: Option<ArbiterConfig>,
-}
-
-impl Default for ConcurrentSimConfig {
-    fn default() -> ConcurrentSimConfig {
-        ConcurrentSimConfig {
-            sim: SimConfig::default(),
-            shards: 4,
-            threads: 1,
-            slice: 256,
-            arbiter: None,
-        }
-    }
-}
-
-/// Replays one trace per tenant through a freshly built
-/// [`ConcurrentSession`] (every tenant at `cfg.sim.granularity` and
-/// `cfg.sim.capacity`). Returns one [`SimResult`] per tenant, in tenant
-/// order.
+/// Replays trace `t` against tenant `t` of `session` on `threads`
+/// workers, `slice` events per round-robin turn, with `config`'s cost
+/// models. Returns one [`SimResult`] per tenant, in tenant order.
 ///
 /// # Errors
 ///
-/// Returns [`SimError::EmptyTrace`] when `traces` is empty or any trace
-/// has no events, [`SimError::Cache`] for invalid geometry, and the
-/// per-tenant replay errors of a solo [`crate::replay::Replay`] run.
-pub fn simulate_concurrent(
-    traces: &[SharedTrace],
-    cfg: &ConcurrentSimConfig,
-) -> Result<Vec<SimResult>, SimError> {
-    if traces.is_empty() {
-        return Err(SimError::EmptyTrace);
-    }
-    let tenants = traces
-        .iter()
-        .map(|_| TenantConfig::with_granularity(cfg.sim.granularity, cfg.sim.capacity))
-        .collect();
-    let session = ConcurrentSession::new(tenants, cfg.shards, cfg.arbiter)?;
-    simulate_concurrent_with(&session, traces, cfg)
-}
-
-/// [`simulate_concurrent`] over a pre-built session — the entry point
-/// for heterogeneous tenants (custom organizations or budgets via
-/// [`TenantConfig::new`]). `session.tenant_count()` must equal
-/// `traces.len()`; trace `t` drives tenant `t`.
-///
-/// # Errors
-///
-/// Same conditions as [`simulate_concurrent`].
-pub fn simulate_concurrent_with(
+/// [`SimError::EmptyTrace`] when `traces` is empty or its length differs
+/// from `session.tenant_count()`, plus the per-tenant replay errors of a
+/// solo run.
+pub(crate) fn run_tenants(
     session: &ConcurrentSession,
     traces: &[SharedTrace],
-    cfg: &ConcurrentSimConfig,
+    config: &SimConfig,
+    threads: usize,
+    slice: usize,
 ) -> Result<Vec<SimResult>, SimError> {
     if traces.is_empty() || session.tenant_count() != traces.len() {
         return Err(SimError::EmptyTrace);
@@ -105,13 +54,13 @@ pub fn simulate_concurrent_with(
                 trace.event_count,
                 tenant,
                 label,
-                &cfg.sim,
+                config,
             )?,
             Cursor::new(&trace.chunks),
         ));
     }
-    let threads = cfg.threads.max(1).min(drivers.len());
-    let slice = cfg.slice.max(1);
+    let threads = threads.max(1).min(drivers.len());
+    let slice = slice.max(1);
     let mut groups: Vec<Vec<TenantRun<'_>>> = (0..threads).map(|_| Vec::new()).collect();
     for run in drivers {
         groups[run.0 % threads].push(run);
@@ -198,8 +147,9 @@ impl<'a> Cursor<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::simulator::{simulate_source_session, EventSource};
-    use cce_core::{Granularity, ShardedCache};
+    use crate::replay::Replay;
+    use crate::simulator::EventSource;
+    use cce_core::{ArbiterConfig, Granularity, TenantConfig};
     use cce_workloads::catalog;
 
     fn traces(n: usize) -> Vec<SharedTrace> {
@@ -214,36 +164,54 @@ mod tests {
             .collect()
     }
 
-    fn solo(trace: &SharedTrace, cfg: &ConcurrentSimConfig) -> SimResult {
-        let cache =
-            ShardedCache::with_granularity(cfg.sim.granularity, cfg.sim.capacity, cfg.shards)
-                .unwrap();
-        simulate_source_session(trace, cache, cfg.sim.granularity.label(), &cfg.sim).unwrap()
+    /// A session of `tenants` identical tenants at `sim`'s geometry.
+    fn session(
+        tenants: usize,
+        sim: &SimConfig,
+        shards: u32,
+        arbiter: Option<ArbiterConfig>,
+    ) -> ConcurrentSession {
+        let configs = (0..tenants)
+            .map(|_| TenantConfig::with_granularity(sim.granularity, sim.capacity))
+            .collect();
+        ConcurrentSession::new(configs, shards, arbiter).unwrap()
+    }
+
+    fn concurrent(
+        ts: &[SharedTrace],
+        sim: &SimConfig,
+        shards: u32,
+        threads: usize,
+        slice: usize,
+    ) -> Vec<SimResult> {
+        Replay::concurrent(&session(ts.len(), sim, shards, None), ts)
+            .config(sim)
+            .threads(threads)
+            .slice(slice)
+            .run()
+            .unwrap()
+            .into_tenants()
     }
 
     #[test]
     fn each_tenant_matches_its_solo_run_at_any_thread_count() {
         let ts = traces(3);
+        let sim = SimConfig {
+            granularity: Granularity::units(4),
+            capacity: 16 * 1024,
+            ..SimConfig::default()
+        };
         for threads in [1usize, 2, 4] {
-            let cfg = ConcurrentSimConfig {
-                sim: SimConfig {
-                    granularity: Granularity::units(4),
-                    capacity: 16 * 1024,
-                    ..SimConfig::default()
-                },
-                shards: 2,
-                threads,
-                slice: 64,
-                ..ConcurrentSimConfig::default()
-            };
-            let results = simulate_concurrent(&ts, &cfg).unwrap();
+            let results = concurrent(&ts, &sim, 2, threads, 64);
             assert_eq!(results.len(), 3);
             for (t, trace) in ts.iter().enumerate() {
-                assert_eq!(
-                    results[t],
-                    solo(trace, &cfg),
-                    "tenant {t} diverged at {threads} threads"
-                );
+                let solo = Replay::new(trace)
+                    .config(&sim)
+                    .shards(2)
+                    .run()
+                    .unwrap()
+                    .into_solo();
+                assert_eq!(results[t], solo, "tenant {t} diverged at {threads} threads");
             }
         }
     }
@@ -251,52 +219,42 @@ mod tests {
     #[test]
     fn slicing_does_not_change_results() {
         let ts = traces(2);
-        let base = ConcurrentSimConfig {
-            sim: SimConfig {
-                capacity: 8 * 1024,
-                ..SimConfig::default()
-            },
-            shards: 2,
-            slice: 1,
-            ..ConcurrentSimConfig::default()
+        let sim = SimConfig {
+            capacity: 8 * 1024,
+            ..SimConfig::default()
         };
-        let fine = simulate_concurrent(&ts, &base).unwrap();
-        let coarse = simulate_concurrent(
-            &ts,
-            &ConcurrentSimConfig {
-                slice: 100_000,
-                ..base
-            },
-        )
-        .unwrap();
+        let fine = concurrent(&ts, &sim, 2, 1, 1);
+        let coarse = concurrent(&ts, &sim, 2, 1, 100_000);
         assert_eq!(fine, coarse, "slice size must be invisible");
     }
 
     #[test]
     fn arbiter_runs_are_reproducible_single_threaded() {
         let ts = traces(2);
-        let cfg = ConcurrentSimConfig {
-            sim: SimConfig {
-                capacity: 4 * 1024,
-                ..SimConfig::default()
-            },
-            shards: 2,
-            threads: 1,
-            arbiter: Some(ArbiterConfig {
-                review_period: 512,
-                ..ArbiterConfig::default()
-            }),
-            ..ConcurrentSimConfig::default()
+        let sim = SimConfig {
+            capacity: 4 * 1024,
+            ..SimConfig::default()
         };
-        let a = simulate_concurrent(&ts, &cfg).unwrap();
-        let b = simulate_concurrent(&ts, &cfg).unwrap();
-        assert_eq!(a, b, "single-threaded arbiter replay must be pure");
+        let arbiter = ArbiterConfig {
+            review_period: 512,
+            ..ArbiterConfig::default()
+        };
+        let run = || {
+            Replay::concurrent(&session(2, &sim, 2, Some(arbiter)), &ts)
+                .config(&sim)
+                .run()
+                .unwrap()
+        };
+        assert_eq!(run(), run(), "single-threaded arbiter replay must be pure");
     }
 
     #[test]
     fn empty_input_is_an_error() {
+        let sim = SimConfig::default();
         assert_eq!(
-            simulate_concurrent(&[], &ConcurrentSimConfig::default()).unwrap_err(),
+            Replay::concurrent(&session(1, &sim, 4, None), &[])
+                .run()
+                .unwrap_err(),
             SimError::EmptyTrace
         );
     }

@@ -15,16 +15,14 @@
 //! * [`replay`] — the one front door: a [`replay::Replay`] builder that
 //!   configures any source (in-memory, shared, streaming), geometry
 //!   (granularity/capacity/pressure/shards), session override, or
-//!   multi-tenant concurrent run, and a [`replay::ReplayMatrix`] for
-//!   full sweep grids;
+//!   multi-tenant run over one shared [`cce_core::ConcurrentSession`]
+//!   (each tenant's result byte-identical to its solo run), and a
+//!   [`replay::ReplayMatrix`] for full sweep grids — the only public way
+//!   to run a simulation;
 //! * [`serve`] — the traffic-driven serving benchmark: an open-loop
 //!   load generator streams framed trace chunks over a byte transport
 //!   into a concurrent-session server loop, reporting throughput,
 //!   latency percentiles and shed counts (DESIGN.md §13);
-//! * [`concurrent`] — multi-tenant concurrent replay: N per-tenant
-//!   traces served by T threads against one shared
-//!   [`cce_core::ConcurrentSession`], each tenant's result byte-identical
-//!   to its solo run;
 //! * [`metrics`] — the weighted unified miss rate (Eq. 1) and
 //!   normalization helpers for the relative-overhead figures;
 //! * [`regression`] — ordinary least squares, used both to re-derive the
@@ -32,8 +30,8 @@
 //! * [`measurement`] — an instrumented-measurement campaign over our own
 //!   DBT's eviction/regeneration/unlink routines, standing in for the
 //!   paper's PAPI hardware-counter runs;
-//! * [`pressure`] — the `maxCache/n` cache-pressure sweeps behind
-//!   Figures 7, 11 and 15;
+//! * [`pressure`] — the `maxCache/n` cell geometry behind Figures 7,
+//!   11 and 15;
 //! * [`exectime`] — instruction-to-seconds conversion, the dispatch-cost
 //!   model behind Table 2's chaining-disabled slowdowns, and §5.3's
 //!   execution-time-reduction estimates;
@@ -65,7 +63,7 @@
 #![deny(unsafe_code)]
 
 pub mod analysis;
-pub mod concurrent;
+mod concurrent;
 pub mod exectime;
 pub mod ladder;
 pub mod measurement;
@@ -80,7 +78,6 @@ pub mod serve;
 pub mod simulator;
 pub mod sweep;
 
-pub use concurrent::{simulate_concurrent, simulate_concurrent_with, ConcurrentSimConfig};
 pub use ladder::{simulate_ladder_observed, simulate_ladder_source, Engine, LadderCell};
 pub use overhead::{LinearModel, OverheadModel};
 pub use regression::fit_line;

@@ -3,10 +3,12 @@
 //! The paper sizes every cache relative to the benchmark's own unbounded
 //! footprint: `capacity = maxCache / pressure` with pressure ∈ 2..=10,
 //! which guarantees the replacement policy is actually stressed. These
-//! helpers run a trace across a (granularity × pressure) grid.
+//! helpers resolve one `(granularity, pressure)` cell's geometry;
+//! [`crate::replay::Replay::pressure`] runs one cell and
+//! [`crate::replay::Replay::matrix`] runs a whole grid.
 
-use crate::simulator::{simulate_source_session, EventSource, SimConfig, SimError, SimResult};
-use cce_core::{CodeCache, Granularity, ShardedCache};
+use crate::simulator::{EventSource, SimConfig};
+use cce_core::Granularity;
 use cce_dbt::{SuperblockInfo, TraceLog};
 
 /// Minimum capacity used by [`capacity_for_pressure`], so extreme
@@ -28,17 +30,6 @@ pub fn default_pressures() -> Vec<u32> {
 pub fn capacity_for_pressure(max_cache_bytes: u64, pressure: u32) -> u64 {
     assert!(pressure > 0, "pressure must be nonzero");
     (max_cache_bytes / u64::from(pressure)).max(MIN_CAPACITY)
-}
-
-/// One cell of a pressure sweep.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PressurePoint {
-    /// Cache-pressure factor `n`.
-    pub pressure: u32,
-    /// Granularity simulated.
-    pub granularity: Granularity,
-    /// The simulation outcome.
-    pub result: SimResult,
 }
 
 /// Clamps a unit-partitioned granularity so each unit can hold the
@@ -103,78 +94,6 @@ impl TraceSizing {
     }
 }
 
-/// Simulates `trace` at one `(granularity, pressure)` point with `base`
-/// options (its granularity/capacity fields are overridden). The unit
-/// count is clamped via [`effective_granularity`] so units always fit the
-/// trace's largest superblock; the result keeps the *requested*
-/// granularity's label so sweep tables stay aligned.
-///
-/// # Errors
-///
-/// Propagates [`SimError`] from the simulator.
-pub fn simulate_at_pressure(
-    trace: &TraceLog,
-    granularity: Granularity,
-    pressure: u32,
-    base: &SimConfig,
-) -> Result<SimResult, SimError> {
-    simulate_cell(
-        trace,
-        TraceSizing::of(trace),
-        granularity,
-        pressure,
-        1,
-        base,
-    )
-}
-
-/// [`simulate_at_pressure`] with the whole-trace scans hoisted out
-/// (pass a cached [`TraceSizing`]) and a shard-count axis: `shards > 1`
-/// splits the cell's capacity over a consistent-hashed
-/// [`cce_core::ShardedCache`] at **fixed total capacity**, and the unit
-/// clamp applies per shard (each shard is its own eviction domain).
-///
-/// # Errors
-///
-/// Propagates [`SimError`] from the simulator.
-pub fn simulate_cell(
-    trace: &TraceLog,
-    sizing: TraceSizing,
-    granularity: Granularity,
-    pressure: u32,
-    shards: u32,
-    base: &SimConfig,
-) -> Result<SimResult, SimError> {
-    simulate_cell_source(trace, sizing, granularity, pressure, shards, base)
-}
-
-/// [`simulate_cell`] over any [`EventSource`] — a sweep feeds every cell
-/// the same decoded [`cce_dbt::SharedTrace`] chunks without re-parsing.
-///
-/// # Errors
-///
-/// Propagates [`SimError`] from the simulator.
-pub fn simulate_cell_source<T: EventSource + ?Sized>(
-    source: &T,
-    sizing: TraceSizing,
-    granularity: Granularity,
-    pressure: u32,
-    shards: u32,
-    base: &SimConfig,
-) -> Result<SimResult, SimError> {
-    let config = cell_config(sizing, granularity, pressure, shards, base);
-    let label = config.granularity.label();
-    let mut result = if shards <= 1 {
-        let cache = CodeCache::with_granularity(config.granularity, config.capacity)?;
-        simulate_source_session(source, cache, label, &config)?
-    } else {
-        let cache = ShardedCache::with_granularity(config.granularity, config.capacity, shards)?;
-        simulate_source_session(source, cache, label, &config)?
-    };
-    result.granularity_label = granularity.label();
-    Ok(result)
-}
-
 /// Resolves one sweep cell's geometry into a concrete [`SimConfig`]:
 /// `capacity = maxCache / pressure` (floored at [`MIN_CAPACITY`]) and
 /// the granularity's unit count clamped via [`effective_granularity`]
@@ -184,7 +103,7 @@ pub fn simulate_cell_source<T: EventSource + ?Sized>(
 /// # Panics
 ///
 /// Panics if `pressure == 0` (callers such as [`crate::replay::Replay`]
-/// validate first and surface [`SimError::Config`] instead).
+/// validate first and surface [`crate::SimError::Config`] instead).
 #[must_use]
 pub fn cell_config(
     sizing: TraceSizing,
@@ -202,34 +121,10 @@ pub fn cell_config(
     }
 }
 
-/// Sweeps `trace` over the full `(granularity × pressure)` grid.
-///
-/// # Errors
-///
-/// Propagates the first [`SimError`] encountered.
-pub fn sweep_trace(
-    trace: &TraceLog,
-    granularities: &[Granularity],
-    pressures: &[u32],
-    base: &SimConfig,
-) -> Result<Vec<PressurePoint>, SimError> {
-    let mut out = Vec::with_capacity(granularities.len() * pressures.len());
-    for &pressure in pressures {
-        for &granularity in granularities {
-            let result = simulate_at_pressure(trace, granularity, pressure, base)?;
-            out.push(PressurePoint {
-                pressure,
-                granularity,
-                result,
-            });
-        }
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::replay::Replay;
     use cce_workloads::catalog;
 
     #[test]
@@ -249,20 +144,22 @@ mod tests {
     fn sweep_covers_grid() {
         let trace = catalog::by_name("mcf").unwrap().trace(0.3, 1);
         let gs = [Granularity::Flush, Granularity::Superblock];
-        let ps = [2, 10];
-        let points = sweep_trace(&trace, &gs, &ps, &SimConfig::default()).unwrap();
+        let points = Replay::matrix(std::slice::from_ref(&trace))
+            .granularities(&gs)
+            .pressures(&[2, 10])
+            .run()
+            .unwrap();
         assert_eq!(points.len(), 4);
         // Higher pressure ⇒ smaller capacity ⇒ miss rate can only rise
         // (for the same granularity).
         for g in gs {
-            let low = points
-                .iter()
-                .find(|p| p.pressure == 2 && p.granularity == g)
-                .unwrap();
-            let high = points
-                .iter()
-                .find(|p| p.pressure == 10 && p.granularity == g)
-                .unwrap();
+            let cell = |pressure| {
+                points
+                    .iter()
+                    .find(|p| p.cell.pressure == pressure && p.cell.granularity == g)
+                    .unwrap()
+            };
+            let (low, high) = (cell(2), cell(10));
             assert!(
                 high.result.stats.miss_rate() >= low.result.stats.miss_rate(),
                 "{g}: pressure 10 should not miss less than pressure 2"
@@ -274,9 +171,15 @@ mod tests {
     fn miss_rates_decline_with_finer_granularity_under_pressure() {
         // The paper's Figure 6 shape on a single benchmark.
         let trace = catalog::by_name("gzip").unwrap().trace(0.4, 3);
-        let base = SimConfig::default();
-        let flush = simulate_at_pressure(&trace, Granularity::Flush, 2, &base).unwrap();
-        let fine = simulate_at_pressure(&trace, Granularity::Superblock, 2, &base).unwrap();
+        let at = |g| {
+            Replay::new(&trace)
+                .granularity(g)
+                .pressure(2)
+                .run()
+                .unwrap()
+                .into_solo()
+        };
+        let (flush, fine) = (at(Granularity::Flush), at(Granularity::Superblock));
         assert!(
             fine.stats.miss_rate() <= flush.stats.miss_rate(),
             "fine {} vs flush {}",

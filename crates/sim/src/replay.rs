@@ -1,10 +1,9 @@
-//! The consolidated replay entry point: [`Replay`].
+//! The one front door for running a simulation: [`Replay`].
 //!
-//! PRs 4–6 grew a family of parallel `simulate_*` wrappers — in-memory,
-//! `SharedTrace`, streaming reader, sharded, custom-session, concurrent
-//! multi-tenant — that all funneled into the same chunked engine
-//! ([`crate::simulator::simulate_event_chunks`]). This module folds the
-//! whole family behind one builder:
+//! Every experiment has the same shape — one trace replayed at one
+//! `(granularity, maxCache / n)` cell, or across a grid of such cells
+//! (§4.2) — and every run, from a unit test to a paper figure, is
+//! configured and launched through this builder:
 //!
 //! ```
 //! use cce_sim::replay::Replay;
@@ -31,35 +30,49 @@
 //!   the trace's own footprint (`maxCache / n`, §4.2) with the unit
 //!   clamp of [`crate::pressure::effective_granularity`];
 //!   [`Replay::shards`] splits the same total capacity over a
-//!   consistent-hashed [`cce_core::ShardedCache`].
+//!   consistent-hashed [`cce_core::ShardedCache`]. Set
+//!   [`Replay::config`] first: it replaces the whole [`SimConfig`],
+//!   granularity and capacity included.
 //! * **Session** — [`Replay::session`] swaps in an arbitrary pre-built
 //!   [`CacheSession`] (custom policies, ablations); the builder's own
 //!   geometry knobs then only shape the overhead model.
 //! * **Tenancy** — [`Replay::tenants`] replays the trace as N identical
-//!   guests over one shared [`cce_core::ConcurrentSession`] on
-//!   [`Replay::threads`] workers; without an arbiter every tenant's
+//!   guests over one shared [`ConcurrentSession`] on
+//!   [`Replay::threads`] workers; [`Replay::concurrent`] replays one
+//!   trace per tenant of a caller-built session (heterogeneous
+//!   organizations or budgets). Without an arbiter every tenant's
 //!   result is byte-identical to its solo sharded run.
 //! * **Sweeps** — [`Replay::matrix`] runs the full `(trace × shards ×
 //!   pressure × granularity)` grid across worker threads with the
 //!   deterministic pre-indexed slots of [`crate::sweep`].
 //!
 //! Every path lands in the same [`crate::simulator::SimDriver`] core,
-//! so results are byte-identical to the pre-builder entry points — the
-//! streaming-replay conformance suite pins this.
+//! so a result's statistics and overheads depend only on the trace and
+//! the cell — never on the input kind, chunking, worker count or engine.
+//! The streaming-replay, concurrent and ladder conformance suites pin
+//! this.
 
-use crate::concurrent::{simulate_concurrent, ConcurrentSimConfig};
+use crate::concurrent::run_tenants;
 use crate::ladder::Engine;
 use crate::pressure::{cell_config, TraceSizing};
-use crate::simulator::{
-    simulate_reader_session, simulate_source_session, EventSource, SimConfig, SimError, SimResult,
-};
+use crate::simulator::{EventSource, SimConfig, SimDriver, SimError, SimResult};
 use crate::sweep::{run_matrix, SweepPoint};
-use cce_core::{ArbiterConfig, CacheSession, CodeCache, Granularity, ShardedCache};
+use cce_core::{
+    ArbiterConfig, CacheSession, CodeCache, ConcurrentSession, Granularity, ShardedCache,
+    TenantConfig,
+};
 use cce_dbt::{SharedTrace, TraceReader};
 
-/// Where the events come from: a replayable source or a consume-once
-/// streaming reader.
+/// What a [`Replay`] runs: one event stream, or one trace per tenant of
+/// a caller-built concurrent session.
 enum Input<'a> {
+    Solo(Feed<'a>),
+    Tenants(&'a ConcurrentSession, &'a [SharedTrace]),
+}
+
+/// Where a solo replay's events come from: a replayable source or a
+/// consume-once streaming reader.
+enum Feed<'a> {
     Source(&'a dyn EventSource),
     Reader(&'a mut TraceReader),
 }
@@ -70,8 +83,8 @@ pub struct Replay<'a> {
     input: Input<'a>,
     config: SimConfig,
     pressure: Option<u32>,
-    shards: u32,
-    tenants: usize,
+    shards: Option<u32>,
+    tenants: Option<usize>,
     threads: usize,
     slice: usize,
     arbiter: Option<ArbiterConfig>,
@@ -79,16 +92,13 @@ pub struct Replay<'a> {
 }
 
 impl<'a> Replay<'a> {
-    /// Replays any [`EventSource`]: an in-memory [`cce_dbt::TraceLog`], a
-    /// decode-once [`SharedTrace`].
-    #[must_use]
-    pub fn new<T: EventSource>(source: &'a T) -> Replay<'a> {
+    fn with_input(input: Input<'a>) -> Replay<'a> {
         Replay {
-            input: Input::Source(source),
+            input,
             config: SimConfig::default(),
             pressure: None,
-            shards: 1,
-            tenants: 1,
+            shards: None,
+            tenants: None,
             threads: 1,
             slice: 256,
             arbiter: None,
@@ -96,14 +106,33 @@ impl<'a> Replay<'a> {
         }
     }
 
+    /// Replays any [`EventSource`]: an in-memory [`cce_dbt::TraceLog`], a
+    /// decode-once [`SharedTrace`].
+    #[must_use]
+    pub fn new<T: EventSource>(source: &'a T) -> Replay<'a> {
+        Replay::with_input(Input::Solo(Feed::Source(source)))
+    }
+
     /// Replays a streaming [`TraceReader`]: the reader's decoder thread
     /// stays ahead of the simulation, so peak event memory is O(chunk).
     /// The reader is consumed to its end (or first error).
     #[must_use]
     pub fn stream(reader: &'a mut TraceReader) -> Replay<'a> {
-        let mut r = Replay::new(&EMPTY_SOURCE);
-        r.input = Input::Reader(reader);
-        r
+        Replay::with_input(Input::Solo(Feed::Reader(reader)))
+    }
+
+    /// Replays `traces[t]` as tenant `t` of a caller-built `session` —
+    /// the entry point for heterogeneous tenants (custom organizations or
+    /// budgets via [`TenantConfig::new`]). The session brings its own
+    /// geometry and arbiter, so combining this with [`Replay::pressure`],
+    /// [`Replay::shards`], [`Replay::tenants`], [`Replay::arbiter`] or
+    /// [`Replay::session`] is a [`SimError::Config`]; [`Replay::config`]
+    /// supplies the cost models and [`Replay::threads`] /
+    /// [`Replay::slice`] the worker layout. The session keeps its state
+    /// afterwards (e.g. [`ConcurrentSession::decisions`]).
+    #[must_use]
+    pub fn concurrent(session: &'a ConcurrentSession, traces: &'a [SharedTrace]) -> Replay<'a> {
+        Replay::with_input(Input::Tenants(session, traces))
     }
 
     /// Starts a sweep over `traces`: the full `(trace × shards ×
@@ -122,7 +151,9 @@ impl<'a> Replay<'a> {
     }
 
     /// Uses `base` as the full simulator configuration (granularity,
-    /// capacity, overhead models, chaining switches).
+    /// capacity, overhead models, chaining switches). It replaces
+    /// everything, so call it before [`Replay::granularity`] and
+    /// [`Replay::capacity`].
     #[must_use]
     pub fn config(mut self, base: &SimConfig) -> Replay<'a> {
         self.config = *base;
@@ -147,7 +178,8 @@ impl<'a> Replay<'a> {
     /// `maxCache / pressure`, floored at
     /// [`crate::pressure::MIN_CAPACITY`], with the granularity's unit
     /// count clamped so every unit fits the largest superblock
-    /// (per shard, when sharded). Overrides [`Replay::capacity`].
+    /// (per shard, when sharded). Overrides [`Replay::capacity`]. The
+    /// result is labelled with the clamped granularity.
     #[must_use]
     pub fn pressure(mut self, pressure: u32) -> Replay<'a> {
         self.pressure = Some(pressure);
@@ -158,7 +190,7 @@ impl<'a> Replay<'a> {
     /// (1 = a bare cache).
     #[must_use]
     pub fn shards(mut self, shards: u32) -> Replay<'a> {
-        self.shards = shards.max(1);
+        self.shards = Some(shards.max(1));
         self
     }
 
@@ -166,7 +198,8 @@ impl<'a> Replay<'a> {
     /// `label` naming it in the result. The session brings its own
     /// geometry; the builder's granularity/capacity then only shape the
     /// overhead model. Solo replay only — combining this with
-    /// [`Replay::tenants`] is a configuration error.
+    /// [`Replay::tenants`] or [`Replay::concurrent`] is a configuration
+    /// error.
     #[must_use]
     pub fn session<S: CacheSession + 'static>(
         mut self,
@@ -182,11 +215,11 @@ impl<'a> Replay<'a> {
     /// over the configured shards exactly like its solo run).
     #[must_use]
     pub fn tenants(mut self, tenants: usize) -> Replay<'a> {
-        self.tenants = tenants.max(1);
+        self.tenants = Some(tenants.max(1));
         self
     }
 
-    /// Worker threads for the concurrent tenant replay (default 1, the
+    /// Worker threads for a concurrent tenant replay (default 1, the
     /// fully reproducible setting).
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Replay<'a> {
@@ -213,13 +246,14 @@ impl<'a> Replay<'a> {
     /// # Errors
     ///
     /// [`SimError::Config`] for contradictory knobs (zero pressure, a
-    /// custom session combined with tenants), plus every error class of
+    /// custom session combined with tenants, geometry or tenancy knobs
+    /// combined with [`Replay::concurrent`]), plus every error class of
     /// the underlying engine ([`SimError::Cache`],
     /// [`SimError::UnknownSuperblock`], [`SimError::EmptyTrace`],
     /// [`SimError::Ingest`]).
     pub fn run(self) -> Result<ReplayReport, SimError> {
         let Replay {
-            mut input,
+            input,
             mut config,
             pressure,
             shards,
@@ -229,50 +263,68 @@ impl<'a> Replay<'a> {
             arbiter,
             session,
         } = self;
+        let feed = match input {
+            Input::Tenants(own, traces) => {
+                if pressure.is_some()
+                    || shards.is_some()
+                    || tenants.is_some()
+                    || arbiter.is_some()
+                    || session.is_some()
+                {
+                    return Err(SimError::Config(
+                        "a concurrent session brings its own geometry, tenants and arbiter",
+                    ));
+                }
+                return ReplayReport::from_results(run_tenants(
+                    own, traces, &config, threads, slice,
+                )?);
+            }
+            Input::Solo(feed) => feed,
+        };
+        let shards = shards.unwrap_or(1);
         if let Some(p) = pressure {
             if p == 0 {
                 return Err(SimError::Config("pressure must be nonzero"));
             }
-            let sizing = match &input {
-                Input::Source(s) => TraceSizing::of_source(*s),
-                Input::Reader(r) => TraceSizing::of_registry(r.superblocks()),
+            let sizing = match &feed {
+                Feed::Source(s) => TraceSizing::of_source(*s),
+                Feed::Reader(r) => TraceSizing::of_registry(r.superblocks()),
             };
             config = cell_config(sizing, config.granularity, p, shards, &config);
         }
 
-        if tenants > 1 {
+        if let Some(n) = tenants.filter(|&n| n > 1) {
             if session.is_some() {
                 return Err(SimError::Config(
                     "a custom session applies to solo replay only",
                 ));
             }
-            let shared = match input {
-                Input::Source(s) => materialize(s),
-                Input::Reader(r) => {
+            let shared = match feed {
+                Feed::Source(s) => materialize(s),
+                Feed::Reader(r) => {
                     collect_reader(r).map_err(|e| SimError::Ingest(e.to_string()))?
                 }
             };
-            let cfg = ConcurrentSimConfig {
-                sim: config,
-                shards,
-                threads,
-                slice,
-                arbiter,
-            };
-            let traces = vec![shared; tenants];
-            return ReplayReport::from_results(simulate_concurrent(&traces, &cfg)?);
+            let configs = (0..n)
+                .map(|_| TenantConfig::with_granularity(config.granularity, config.capacity))
+                .collect();
+            let own = ConcurrentSession::new(configs, shards, arbiter)?;
+            let traces = vec![shared; n];
+            return ReplayReport::from_results(run_tenants(
+                &own, &traces, &config, threads, slice,
+            )?);
         }
 
         let result = match session {
-            Some((boxed, label)) => run_solo(&mut input, boxed, label, &config)?,
+            Some((boxed, label)) => run_solo(feed, boxed, label, &config)?,
             None if shards <= 1 => {
                 let cache = CodeCache::with_granularity(config.granularity, config.capacity)?;
-                run_solo(&mut input, cache, config.granularity.label(), &config)?
+                run_solo(feed, cache, config.granularity.label(), &config)?
             }
             None => {
                 let cache =
                     ShardedCache::with_granularity(config.granularity, config.capacity, shards)?;
-                run_solo(&mut input, cache, config.granularity.label(), &config)?
+                run_solo(feed, cache, config.granularity.label(), &config)?
             }
         };
         ReplayReport::from_results(vec![result])
@@ -291,36 +343,34 @@ impl std::fmt::Debug for Replay<'_> {
     }
 }
 
-/// Placeholder source [`Replay::stream`] swaps out before use.
-static EMPTY_SOURCE: EmptySource = EmptySource;
-
-#[derive(Debug)]
-struct EmptySource;
-
-impl EventSource for EmptySource {
-    fn source_name(&self) -> &str {
-        ""
-    }
-    fn registry(&self) -> &[cce_dbt::SuperblockInfo] {
-        &[]
-    }
-    fn event_count(&self) -> u64 {
-        0
-    }
-    fn event_chunks(&self) -> Box<dyn Iterator<Item = &[cce_dbt::TraceEvent]> + '_> {
-        Box::new(std::iter::empty())
-    }
-}
-
+/// Replays one event stream against `session`, chunk by chunk. A
+/// streaming reader is consumed to its end (or first error); the census
+/// schedule comes from its header's event count, so the result is
+/// bit-identical to replaying the same trace in memory.
 fn run_solo<S: CacheSession>(
-    input: &mut Input<'_>,
+    feed: Feed<'_>,
     session: S,
     label: String,
     config: &SimConfig,
 ) -> Result<SimResult, SimError> {
-    match input {
-        Input::Source(s) => simulate_source_session(*s, session, label, config),
-        Input::Reader(r) => simulate_reader_session(r, session, label, config),
+    match feed {
+        Feed::Source(s) => {
+            let (name, registry, events) = (s.source_name(), s.registry(), s.event_count());
+            let mut driver = SimDriver::new(name, registry, events, session, label, config)?;
+            for chunk in s.event_chunks() {
+                driver.feed(chunk)?;
+            }
+            driver.finish()
+        }
+        Feed::Reader(r) => {
+            let registry = r.superblocks_shared();
+            let mut driver =
+                SimDriver::new(r.name(), &registry, r.event_count(), session, label, config)?;
+            while let Some(chunk) = r.next_chunk() {
+                driver.feed(&chunk.map_err(|e| SimError::Ingest(e.to_string()))?)?;
+            }
+            driver.finish()
+        }
     }
 }
 
@@ -539,6 +589,34 @@ mod tests {
             .run()
             .unwrap_err();
         assert!(matches!(err, SimError::Config(_)));
+
+        // A caller-built concurrent session brings its own geometry,
+        // tenancy and arbiter: every knob that would override them is
+        // rejected rather than silently ignored.
+        let traces = [SharedTrace::from_log(&t)];
+        let tenant = TenantConfig::with_granularity(Granularity::units(4), 16 * 1024);
+        let session = ConcurrentSession::new(vec![tenant], 2, None).unwrap();
+        let conflicts: [fn(Replay<'_>) -> Replay<'_>; 5] = [
+            |r| r.pressure(2),
+            |r| r.shards(2),
+            |r| r.tenants(2),
+            |r| r.arbiter(ArbiterConfig::default()),
+            |r| {
+                r.session(
+                    CodeCache::new(Box::new(FineFifo::new(8192).unwrap())),
+                    "FIFO",
+                )
+            },
+        ];
+        for (i, conflict) in conflicts.into_iter().enumerate() {
+            let err = conflict(Replay::concurrent(&session, &traces))
+                .run()
+                .unwrap_err();
+            assert!(matches!(err, SimError::Config(_)), "conflict {i}: {err}");
+        }
+        // Without them the same session replays fine.
+        let ok = Replay::concurrent(&session, &traces).run().unwrap();
+        assert_eq!(ok.tenant_count(), 1);
     }
 
     #[test]

@@ -118,16 +118,19 @@ mod tests {
 
     #[test]
     fn miss_rates_are_stable_across_seeds() {
-        use crate::pressure::simulate_at_pressure;
-        use crate::simulator::SimConfig;
+        use crate::replay::Replay;
         use cce_core::Granularity;
         // A mid-size benchmark: tiny traces (mcf at low scale) are
         // legitimately seed-sensitive, larger ones must not be.
         let model = cce_workloads::by_name("parser").unwrap();
         let series = over_seeds(0..6, |seed| {
             let trace = model.trace(0.2, seed);
-            simulate_at_pressure(&trace, Granularity::units(8), 4, &SimConfig::default())
+            Replay::new(&trace)
+                .granularity(Granularity::units(8))
+                .pressure(4)
+                .run()
                 .unwrap()
+                .into_solo()
                 .stats
                 .miss_rate()
         })

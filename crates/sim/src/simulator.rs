@@ -9,20 +9,20 @@
 //! [`crate::replay::Replay`] builder; this module holds the engine it
 //! drives.
 //!
-//! Replay is **chunk-oriented**: the core loop ([`simulate_event_chunks`])
-//! consumes any fallible iterator of event slices, so the same code path
-//! serves an in-memory [`TraceLog`] (one big chunk), a decoded-once
-//! [`SharedTrace`] shared across sweep cells, a streaming
-//! [`TraceReader`] whose decoder thread overlaps file I/O with the
-//! simulation (DESIGN.md §11), and the serve-mode session loop that
-//! applies framed events as they arrive off the wire (DESIGN.md §13).
+//! Replay is **chunk-oriented**: the core loop ([`SimDriver`]) consumes
+//! the event stream one slice at a time, so the same code path serves an
+//! in-memory [`TraceLog`] (one big chunk), a decoded-once [`SharedTrace`]
+//! shared across sweep cells, a streaming [`cce_dbt::TraceReader`] whose
+//! decoder thread overlaps file I/O with the simulation (DESIGN.md §11),
+//! and the serve-mode session loop that applies framed events as they
+//! arrive off the wire (DESIGN.md §13).
 //! The periodic link-graph census is placed by *total* event count —
 //! carried in the binary header — so every ingest path produces
 //! bit-identical [`SimResult`]s at any chunk size.
 
 use crate::overhead::OverheadModel;
 use cce_core::{CacheError, CacheSession, Granularity, InsertRequest, SuperblockId};
-use cce_dbt::{SharedTrace, SuperblockInfo, TraceEvent, TraceLog, TraceReader};
+use cce_dbt::{SharedTrace, SuperblockInfo, TraceEvent, TraceLog};
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
@@ -167,9 +167,10 @@ impl SimResult {
 /// A replayable supply of trace events: a registry plus the event stream
 /// in slice-sized chunks. Implemented by the in-memory [`TraceLog`] (one
 /// chunk) and by [`SharedTrace`] (the decode-once, `Arc`-shared chunks a
-/// sweep replays across many cells). Streaming [`TraceReader`]s are not
-/// `EventSource`s — their chunks are fallible and consumed once — and go
-/// through [`simulate_reader_session`] instead.
+/// sweep replays across many cells). Streaming
+/// [`cce_dbt::TraceReader`]s are not `EventSource`s — their chunks are
+/// fallible and consumed once — and go through
+/// [`crate::replay::Replay::stream`] instead.
 pub trait EventSource {
     /// Workload name for the result.
     fn source_name(&self) -> &str;
@@ -211,108 +212,9 @@ impl EventSource for SharedTrace {
     }
 }
 
-/// Replays any [`EventSource`] against an arbitrary pre-built
-/// [`CacheSession`] — a bare [`cce_core::CodeCache`], a
-/// [`cce_core::ShardedCache`], a boxed custom policy. The `label` names
-/// the session in the result; `config.granularity` and `config.capacity`
-/// are advisory here (the session brings its own geometry). Most callers
-/// reach this through [`crate::replay::Replay`].
-///
-/// # Errors
-///
-/// Returns [`SimError::Cache`] for invalid geometry,
-/// [`SimError::UnknownSuperblock`] for a malformed trace, and
-/// [`SimError::EmptyTrace`] if there is nothing to replay.
-pub fn simulate_source_session<T: EventSource + ?Sized, S: CacheSession>(
-    source: &T,
-    session: S,
-    label: String,
-    config: &SimConfig,
-) -> Result<SimResult, SimError> {
-    simulate_event_chunks(
-        source.source_name(),
-        source.registry(),
-        source.event_count(),
-        source.event_chunks().map(Ok::<_, std::convert::Infallible>),
-        session,
-        label,
-        config,
-    )
-}
-
-/// Streams a binary trace straight from its reader against an arbitrary
-/// pre-built [`CacheSession`]: the reader's decoder thread stays one or
-/// two chunks ahead, so file I/O and varint decode overlap with the cache
-/// simulation and peak event memory is O(chunk), never O(trace).
-///
-/// The reader is consumed to its end (or first error); the census
-/// schedule comes from the header's event count, so the result is
-/// bit-identical to replaying the same trace in memory. Most callers
-/// reach this through [`crate::replay::Replay::stream`].
-///
-/// # Errors
-///
-/// Same conditions as [`simulate_source_session`], plus
-/// [`SimError::Ingest`] if the stream fails mid-replay or delivers a
-/// different number of events than its header promised.
-pub fn simulate_reader_session<S: CacheSession>(
-    reader: &mut TraceReader,
-    session: S,
-    label: String,
-    config: &SimConfig,
-) -> Result<SimResult, SimError> {
-    let name = reader.name().to_owned();
-    let registry = reader.superblocks_shared();
-    let event_count = reader.event_count();
-    let chunks = std::iter::from_fn(|| reader.next_chunk());
-    simulate_event_chunks(
-        &name,
-        &registry,
-        event_count,
-        chunks,
-        session,
-        label,
-        config,
-    )
-}
-
-/// The chunked replay engine every other entry point funnels into: an
-/// event stream arrives as a fallible iterator of chunks, with the total
-/// `event_count` known up front (it fixes the link-census period, so the
-/// result does not depend on how the stream happens to be chunked).
-///
-/// # Errors
-///
-/// Same conditions as [`simulate_source_session`]; a failed chunk or an
-/// event count that contradicts `event_count` becomes
-/// [`SimError::Ingest`].
-pub fn simulate_event_chunks<S, I, C, E>(
-    name: &str,
-    registry: &[SuperblockInfo],
-    event_count: u64,
-    chunks: I,
-    session: S,
-    label: String,
-    config: &SimConfig,
-) -> Result<SimResult, SimError>
-where
-    S: CacheSession,
-    I: IntoIterator<Item = Result<C, E>>,
-    C: AsRef<[TraceEvent]>,
-    E: fmt::Display,
-{
-    let mut driver = SimDriver::new(name, registry, event_count, session, label, config)?;
-    for chunk in chunks {
-        let chunk = chunk.map_err(|e| SimError::Ingest(e.to_string()))?;
-        driver.feed(chunk.as_ref())?;
-    }
-    driver.finish()
-}
-
-/// Incremental replay: the per-event core that [`simulate_event_chunks`]
-/// (and through it every replay entry point) runs, factored out so
-/// concurrent runners can feed one tenant's stream in arbitrary slices
-/// interleaved with other tenants. Feeding the same events through one
+/// Incremental replay: the per-event core every [`crate::replay::Replay`]
+/// runs, factored out so concurrent runners can feed one tenant's stream
+/// in arbitrary slices interleaved with other tenants. Feeding the same events through one
 /// `SimDriver` yields a bit-identical [`SimResult`] regardless of how
 /// the stream is sliced: the census period is fixed by the up-front
 /// total `event_count`, never by slice boundaries.
@@ -376,7 +278,8 @@ impl<S: CacheSession> SimDriver<S> {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`simulate_source_session`].
+    /// [`SimError::Cache`] for a cache failure and
+    /// [`SimError::UnknownSuperblock`] for an event outside the registry.
     pub fn feed(&mut self, events: &[TraceEvent]) -> Result<(), SimError> {
         for ev in events {
             let TraceEvent::Access { id, direct_from } = *ev;

@@ -20,7 +20,8 @@
 //! planner and the worker pool it runs on.
 
 use crate::ladder::{simulate_ladder_source, Engine, LadderCell};
-use crate::pressure::{cell_config, simulate_cell_source, TraceSizing};
+use crate::pressure::{cell_config, TraceSizing};
+use crate::replay::Replay;
 use crate::simulator::{EventSource, SimConfig, SimError, SimResult};
 use cce_core::Granularity;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -160,14 +161,8 @@ pub(crate) fn run_matrix<T: EventSource + Sync>(
                             None => break,
                             Some(WorkItem::Cell(idx)) => {
                                 let cell = cells[*idx];
-                                let r = simulate_cell_source(
-                                    &traces[cell.trace],
-                                    sizings[cell.trace],
-                                    cell.granularity,
-                                    cell.pressure,
-                                    cell.shards,
-                                    base,
-                                );
+                                let r =
+                                    run_cell(&traces[cell.trace], sizings[cell.trace], cell, base);
                                 local.push((*idx, r));
                             }
                             Some(WorkItem::Group { trace, members }) => {
@@ -254,6 +249,26 @@ fn build_items(cells: &[SweepCell], trace_count: usize, engine: Engine) -> Vec<W
     }
 }
 
+/// Runs one cell on the per-cell oracle: the cell's geometry from the
+/// trace's cached [`TraceSizing`] (so no cell rescans the trace), one
+/// solo [`Replay`], and the *requested* granularity's label so sweep
+/// tables stay aligned.
+fn run_cell<T: EventSource>(
+    source: &T,
+    sizing: TraceSizing,
+    cell: SweepCell,
+    base: &SimConfig,
+) -> Result<SimResult, SimError> {
+    let config = cell_config(sizing, cell.granularity, cell.pressure, cell.shards, base);
+    let mut result = Replay::new(source)
+        .config(&config)
+        .shards(cell.shards)
+        .run()?
+        .into_solo();
+    result.granularity_label = cell.granularity.label();
+    Ok(result)
+}
+
 /// Runs one trace's fused cells through the ladder engine and labels
 /// each result exactly as the oracle's cell runner would: the
 /// *requested* granularity's label, the *effective* geometry.
@@ -311,7 +326,6 @@ fn run_ladder_group<T: EventSource + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pressure::sweep_trace;
     use cce_dbt::TraceLog;
     use cce_workloads::catalog;
 
@@ -383,16 +397,29 @@ mod tests {
         let base = SimConfig::default();
         let points = run_matrix(&traces, &gs, &ps, &[1], &base, 3, Engine::Naive).unwrap();
 
-        // The sequential reference: per-trace pressure sweeps concatenated.
+        // The serial reference: one `Replay` per cell, in plan order.
         let mut reference = Vec::new();
         for trace in &traces {
-            reference.extend(sweep_trace(trace, &gs, &ps, &base).unwrap());
+            for &pressure in &ps {
+                for &granularity in &gs {
+                    let mut r = Replay::new(trace)
+                        .config(&base)
+                        .granularity(granularity)
+                        .pressure(pressure)
+                        .run()
+                        .unwrap()
+                        .into_solo();
+                    // A sweep labels cells with the *requested* granularity.
+                    r.granularity_label = granularity.label();
+                    reference.push((granularity, pressure, r));
+                }
+            }
         }
         assert_eq!(points.len(), reference.len());
-        for (p, r) in points.iter().zip(&reference) {
-            assert_eq!(p.cell.granularity, r.granularity);
-            assert_eq!(p.cell.pressure, r.pressure);
-            assert_eq!(p.result, r.result);
+        for (p, (granularity, pressure, r)) in points.iter().zip(&reference) {
+            assert_eq!(p.cell.granularity, *granularity);
+            assert_eq!(p.cell.pressure, *pressure);
+            assert_eq!(p.result, *r);
         }
     }
 

@@ -8,9 +8,9 @@
 //! Run with: `cargo run --release --example interactive_apps [scale]`
 
 use cce::core::Granularity;
-use cce::sim::pressure::simulate_at_pressure;
 use cce::sim::report::TextTable;
 use cce::sim::simulator::SimConfig;
+use cce::sim::Replay;
 use cce::workloads::catalog;
 use std::error::Error;
 
@@ -45,7 +45,12 @@ fn main() -> Result<(), Box<dyn Error>> {
         let mut miss = Vec::new();
         let mut evictions8 = 0;
         for g in granularities {
-            let r = simulate_at_pressure(&trace, g, 4, &base)?;
+            let r = Replay::new(&trace)
+                .config(&base)
+                .granularity(g)
+                .pressure(4)
+                .run()?
+                .into_solo();
             miss.push(r.stats.miss_rate());
             if g == Granularity::units(8) {
                 evictions8 = r.stats.eviction_invocations;

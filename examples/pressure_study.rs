@@ -4,9 +4,9 @@
 //! Run with: `cargo run --release --example pressure_study [benchmark]`
 
 use cce::core::Granularity;
-use cce::sim::pressure::{default_pressures, sweep_trace};
+use cce::sim::pressure::default_pressures;
 use cce::sim::report::TextTable;
-use cce::sim::simulator::SimConfig;
+use cce::sim::Replay;
 use cce::workloads::catalog;
 use std::error::Error;
 
@@ -21,7 +21,10 @@ fn main() -> Result<(), Box<dyn Error>> {
     let granularities = Granularity::spectrum(6); // FLUSH … 64-unit, FIFO
     let pressures = default_pressures();
 
-    let points = sweep_trace(&trace, &granularities, &pressures, &SimConfig::default())?;
+    let points = Replay::matrix(std::slice::from_ref(&trace))
+        .granularities(&granularities)
+        .pressures(&pressures)
+        .run()?;
 
     // Miss-rate table.
     let mut headers = vec!["granularity".to_owned()];
@@ -37,12 +40,12 @@ fn main() -> Result<(), Box<dyn Error>> {
         for &p in &pressures {
             let cell = points
                 .iter()
-                .find(|pt| pt.granularity == *g && pt.pressure == p)
+                .find(|pt| pt.cell.granularity == *g && pt.cell.pressure == p)
                 .expect("full grid");
             mrow.push(format!("{:.2}%", cell.result.stats.miss_rate() * 100.0));
             let flush = points
                 .iter()
-                .find(|pt| pt.granularity == granularities[0] && pt.pressure == p)
+                .find(|pt| pt.cell.granularity == granularities[0] && pt.cell.pressure == p)
                 .expect("full grid");
             orow.push(format!(
                 "{:.0}%",

@@ -7,8 +7,8 @@
 use cce::core::Granularity;
 use cce::sim::exectime::{ChainingScenario, DispatchCost};
 use cce::sim::metrics::unified_miss_rate;
-use cce::sim::pressure::simulate_at_pressure;
 use cce::sim::simulator::SimConfig;
+use cce::sim::Replay;
 use cce::workloads::catalog;
 
 const SCALE: f64 = 0.15;
@@ -21,8 +21,13 @@ fn unified(granularity: Granularity, pressure: u32) -> (f64, u64, f64, f64) {
     let mut overhead_links = 0.0;
     for m in catalog::all() {
         let trace = m.trace(SCALE, SEED);
-        let r = simulate_at_pressure(&trace, granularity, pressure, &SimConfig::default())
-            .expect("valid trace");
+        let r = Replay::new(&trace)
+            .config(&SimConfig::default())
+            .granularity(granularity)
+            .pressure(pressure)
+            .run()
+            .expect("valid trace")
+            .into_solo();
         pairs.push((r.stats.misses, r.stats.accesses));
         invocations += r.stats.eviction_invocations;
         overhead_nolinks += r.miss_overhead + r.eviction_overhead;
@@ -109,8 +114,13 @@ fn figure13_inter_unit_links_rise_with_granularity() {
     let trace = catalog::by_name("gcc").unwrap().trace(SCALE, SEED);
     let base = SimConfig::default();
     let frac = |g| {
-        simulate_at_pressure(&trace, g, 2, &base)
+        Replay::new(&trace)
+            .config(&base)
+            .granularity(g)
+            .pressure(2)
+            .run()
             .unwrap()
+            .into_solo()
             .census_inter_fraction()
     };
     let flush = frac(Granularity::Flush);
