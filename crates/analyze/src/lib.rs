@@ -27,7 +27,10 @@
 //! * **lock-graph** ([`lockgraph`]) — verifies the global lock
 //!   hierarchy (arbiter → tenant ascending → shard ascending) is
 //!   acyclic on every interprocedural path and keeps shard-lock
-//!   acquisition confined to `lock_shard`/`lock_shard_pair`. Guard
+//!   acquisition confined to `lock_shard`/`lock_shard_pair`. The real
+//!   `cce-core` now uses only the arbiter and tenant classes (tenants
+//!   own their lanes); the shard class and its confinement rule stay as
+//!   a guard on any future `shards` container. Guard
 //!   releases are path-sensitive: a `drop` on a branch that falls
 //!   through to the join releases the guard; a `drop` on a diverging
 //!   branch does not. Successor to the textual `lock-ordering` check.

@@ -7,6 +7,13 @@
 //! hierarchy — **arbiter → tenant (ascending) → shard (ascending)** —
 //! is respected on every interprocedural path (DESIGN.md §12).
 //!
+//! The real `crates/core/src/concurrent.rs` now has two classes only:
+//! every tenant owns its sharded lanes behind one lock, so the review
+//! descends arbiter → tenant and nothing takes a shard lock. The shard
+//! class, its pair idiom and the confinement backstop stay in the model
+//! (and in the `lock_graph_*` fixtures) so that any future `shards`
+//! container is checked from its first line.
+//!
 //! The model, in the order the code is analyzed:
 //!
 //! * **Classification.** A raw `….lock(…)` site belongs to the class

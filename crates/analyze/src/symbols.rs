@@ -29,7 +29,7 @@ pub struct FnDef {
     /// Bare function name (raw-identifier prefix stripped).
     pub name: String,
     /// Display-qualified name, e.g.
-    /// `cce_core::concurrent::ConcurrentCache::lock_shard`.
+    /// `cce_core::concurrent::ConcurrentCache::lock_tenant`.
     pub qname: String,
     /// Enclosing `impl`/`trait` type name, if this is a method.
     pub self_ty: Option<String>,

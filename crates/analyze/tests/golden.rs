@@ -342,9 +342,10 @@ fn repo_reports_nothing_above_committed_baseline() {
 #[test]
 fn lock_model_matches_the_real_concurrent_cache() {
     // Cross-check the lint's static model against the actual
-    // crates/core/src/concurrent.rs: the canonical helpers transfer
-    // guards, the hierarchy descent in review() touches all three
-    // classes, and the whole file simulates without violations.
+    // crates/core/src/concurrent.rs: the tenant helper transfers its
+    // guard, the review descends both classes the code still has
+    // (arbiter → tenant), no shard-lock helper survives, and the whole
+    // file simulates without violations.
     use cce_analyze::callgraph::CallGraph;
     use cce_analyze::lockgraph::{self, LockClass};
     use cce_analyze::symbols::Workspace;
@@ -358,24 +359,19 @@ fn lock_model_matches_the_real_concurrent_cache() {
 
     let model = lockgraph::model(&ws, &cg);
     let q = |name: &str| format!("cce_core::concurrent::ConcurrentCache::{name}");
-    assert!(model.returns_guard.contains(&q("lock_shard")));
     assert!(model.returns_guard.contains(&q("lock_tenant")));
-    assert_eq!(
-        model.may_acquire[&q("lock_shard")],
-        BTreeSet::from([LockClass::Shard])
-    );
-    assert_eq!(
-        model.may_acquire[&q("lock_shard_pair")],
-        BTreeSet::from([LockClass::Shard])
-    );
     assert_eq!(
         model.may_acquire[&q("lock_tenant")],
         BTreeSet::from([LockClass::Tenant])
     );
     assert_eq!(
         model.may_acquire[&q("review")],
-        BTreeSet::from([LockClass::Arbiter, LockClass::Tenant, LockClass::Shard]),
+        BTreeSet::from([LockClass::Arbiter, LockClass::Tenant]),
         "review descends the full hierarchy"
+    );
+    assert!(
+        ws.fns.iter().all(|f| !f.name.starts_with("lock_shard")),
+        "tenants own their lanes: no shard-lock helper may remain"
     );
 
     let findings = lockgraph::run(&ws, &cg, true);

@@ -237,13 +237,15 @@ impl<'a> EvictionScope<'a> {
 
 /// A subscriber to the settled event stream of a [`crate::CodeCache`]
 /// (see [`crate::CodeCache::set_observer`]). `Send` so an observing
-/// cache can move across the sweep runner's worker threads.
-pub trait CacheObserver: Send {
+/// cache can move across the sweep runner's worker threads, and `Sync`
+/// so a cache (and a [`crate::ShardedCache`] of them) can be shared by
+/// reference without a lock.
+pub trait CacheObserver: Send + Sync {
     /// Receives one settled event.
     fn on_event(&mut self, event: CacheEvent);
 }
 
-impl<F: FnMut(CacheEvent) + Send> CacheObserver for F {
+impl<F: FnMut(CacheEvent) + Send + Sync> CacheObserver for F {
     fn on_event(&mut self, event: CacheEvent) {
         self(event)
     }

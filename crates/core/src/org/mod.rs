@@ -104,12 +104,13 @@ impl RawInsert {
 /// Implementations must be deterministic — identical operation sequences
 /// must produce identical event streams — because the workspace's
 /// experiments rely on reproducibility. `Send` is a supertrait so caches
-/// can be built and driven inside the sweep runner's worker threads.
+/// can be built and driven inside the sweep runner's worker threads;
+/// `Sync` so a cache's read-only queries can be shared by reference.
 ///
 /// This trait is object-safe; [`crate::CodeCache`] stores a
 /// `Box<dyn CacheOrg>` so user code can plug in custom policies (see the
 /// `custom_policy` example at the workspace root).
-pub trait CacheOrg: fmt::Debug + Send {
+pub trait CacheOrg: fmt::Debug + Send + Sync {
     /// Total capacity in bytes.
     fn capacity(&self) -> u64;
 

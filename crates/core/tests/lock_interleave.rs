@@ -1,16 +1,17 @@
 //! Interleaving stress for the `ConcurrentCache` lock paths.
 //!
 //! The lock-graph lint proves the hierarchy **arbiter → tenant
-//! (ascending) → shard (ascending)** is acyclic on every static call
-//! path (its model is cross-checked against this very file's subject
-//! in `crates/analyze/tests/golden.rs`,
+//! (ascending)** is acyclic on every static call path (its model is
+//! cross-checked against this very file's subject in
+//! `crates/analyze/tests/golden.rs`,
 //! `lock_model_matches_the_real_concurrent_cache`). This test attacks
 //! the same property dynamically: the arbiter's review runs every
-//! [`REVIEW_PERIOD`] accesses — so the full three-class descent
-//! executes hundreds of times per run — while every thread hammers
-//! accesses, cross-shard links (driving `lock_shard_pair` through both
-//! of its branch orders) and flushes. A deadlock would show up as a
-//! watchdog timeout here rather than a hung CI job.
+//! [`REVIEW_PERIOD`] accesses — so the arbiter-then-every-tenant
+//! descent executes hundreds of times per run, re-sizing lanes under
+//! the other threads — while every thread hammers accesses, cross-shard
+//! links (both shard orders, each inside one tenant's lock) and
+//! flushes. A deadlock would show up as a watchdog timeout here rather
+//! than a hung CI job.
 //!
 //! Workloads are seed-pinned xorshift streams, and the thread sweep is
 //! pinned with `CCE_TEST_THREADS=<T>` exactly as in

@@ -121,7 +121,7 @@ fn usage() -> &'static str {
      replay --log <path> [--pressure N] [--tenants N --threads T] | \
      convert --log <in> --out <out> [--format json|binary] | \
      bench_trace_io [--scale F] [--out PATH] | \
-     bench_concurrent [--scale F] [--out PATH] | \
+     bench_concurrent [--scale F] [--smoke] [--out PATH] | \
      bench_grid [--scale F] [--smoke] [--out BENCH_grid.json] | \
      serve [--bench <name>] [--rps R] [--duration S] [--tenants N] [--threads T] \
      [--queue EVENTS] [--skew Z] [--seed N] [--smoke] [--out BENCH_serve.json]"

@@ -5,8 +5,10 @@
 //! traces through one shared concurrent cache on T worker threads:
 //! thread `j` owns tenants `j`, `j+T`, … and round-robins bounded event
 //! slices across its tenants, so with several tenants per thread their
-//! lock acquisitions interleave the way independent guest programs'
-//! would. Each tenant's replay runs the exact [`SimDriver`] core every
+//! requests interleave the way independent guest programs' would. A
+//! tenant lives on one worker, and its lock is the only one its
+//! requests take, so without an arbiter no two workers ever wait on
+//! each other. Each tenant's replay runs the exact [`SimDriver`] core every
 //! solo replay uses, against that tenant's
 //! [`cce_core::TenantSession`] handle.
 //!
