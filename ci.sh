@@ -5,6 +5,9 @@ set -eux
 
 cargo fmt --all --check
 cargo clippy --workspace --all-targets -- -D warnings
+# Rustdoc with warnings denied: a doc link to a deleted or private item
+# fails the gate instead of rotting silently.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 cargo build --release
 cargo test -q
 cargo test --workspace -q

@@ -130,7 +130,8 @@ pub fn model(ws: &Workspace, cg: &CallGraph) -> LockModel {
 }
 
 /// Runs the lock-graph lint. `repo_scope` restricts findings to the
-/// [`LOCK_CRATE`]; fixture mode passes `false`.
+/// lock crate (`LOCK_CRATE`, i.e. `cce-core`); fixture mode passes
+/// `false`.
 #[must_use]
 pub fn run(ws: &Workspace, cg: &CallGraph, repo_scope: bool) -> Vec<Finding> {
     let a = Analysis::build(ws, cg);

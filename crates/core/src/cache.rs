@@ -12,9 +12,10 @@
 //! settles them (link unpatching, statistics) in a **single traversal**,
 //! producing a compact [`InsertSummary`] with no per-insert heap
 //! allocation in steady state. The settled stream — with `Unlinked`
-//! events and real `links_dropped_free` counts — is forwarded to an
-//! optional observer ([`CodeCache::set_observer`]) and to the sink the
-//! caller passes.
+//! events and real `links_dropped_free` counts — is forwarded to the
+//! sink the caller passes; [`crate::CacheSession::access_or_insert`]
+//! precedes it with the lookup's `Hit` or `Miss`, so that sink carries
+//! the complete stream of every call.
 //!
 //! There is exactly **one** insert core ([`CodeCache::insert_request`],
 //! taking an [`crate::InsertRequest`]) and one flush core
@@ -27,7 +28,7 @@
 //! [`EvictionReport::from`] / [`InsertReport::from_events`].
 
 use crate::error::CacheError;
-use crate::events::{CacheEvent, CacheObserver, EventBuffer, EventSink};
+use crate::events::{CacheEvent, EventBuffer, EventSink};
 use crate::ids::{Granularity, SuperblockId, UnitId};
 use crate::links::LinkGraph;
 use crate::org::unit_fifo::UnitFifo;
@@ -61,9 +62,22 @@ impl AccessResult {
     pub fn is_miss(self) -> bool {
         !self.is_hit()
     }
+
+    /// The `Hit` or `Miss` event reporting this outcome for `id`.
+    pub(crate) fn event(self, id: SuperblockId) -> CacheEvent {
+        match self {
+            AccessResult::Hit => CacheEvent::Hit { id },
+            AccessResult::ColdMiss => CacheEvent::Miss { id, cold: true },
+            AccessResult::CapacityMiss => CacheEvent::Miss { id, cold: false },
+        }
+    }
 }
 
 /// One eviction-mechanism invocation, annotated with unlink work.
+///
+/// The paper charges a *fixed* cost per invocation plus a per-byte cost
+/// (Eq. 2), so how evicted blocks group into invocations is what the
+/// granularity trade-off is about.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct EvictionReport {
     /// `(superblock, size)` pairs evicted, in eviction order.
@@ -106,7 +120,8 @@ impl From<&[CacheEvent]> for EvictionReport {
     }
 }
 
-/// Result of a successful [`CodeCache::insert`].
+/// Owned report of one insertion, reassembled from its settled stream
+/// by [`InsertReport::from_events`].
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct InsertReport {
     /// Eviction invocations performed to make room.
@@ -197,8 +212,6 @@ pub struct CodeCache {
     buf: EventBuffer,
     /// Scratch set of the current invocation's victims; reused likewise.
     dying: HashSet<SuperblockId>,
-    /// Optional subscriber to the settled event stream.
-    observer: Option<Box<dyn CacheObserver>>,
 }
 
 impl fmt::Debug for CodeCache {
@@ -207,22 +220,8 @@ impl fmt::Debug for CodeCache {
             .field("org", &self.org)
             .field("links", &self.links)
             .field("stats", &self.stats)
-            .field("observer", &self.observer.is_some())
             .finish_non_exhaustive()
     }
-}
-
-/// Forwards a settled event to the observer (if any) and the sink.
-/// A macro rather than a method so the surrounding traversal can keep
-/// disjoint field borrows on `links`/`stats`/`buf`.
-macro_rules! settle_emit {
-    ($self:ident, $sink:ident, $ev:expr) => {{
-        let ev = $ev;
-        if let Some(obs) = $self.observer.as_mut() {
-            obs.on_event(ev);
-        }
-        $sink.event(ev);
-    }};
 }
 
 impl CodeCache {
@@ -236,7 +235,6 @@ impl CodeCache {
             seen: HashSet::new(),
             buf: EventBuffer::new(),
             dying: HashSet::new(),
-            observer: None,
         }
     }
 
@@ -256,19 +254,6 @@ impl CodeCache {
         Ok(CodeCache::new(org))
     }
 
-    /// Subscribes `observer` to the settled event stream: every `Hit`,
-    /// `Miss`, `Padding`, `EvictionBegin`, `Evicted`, `Unlinked`,
-    /// `EvictionEnd` and `Inserted` the cache produces from now on.
-    /// Replaces any previous observer.
-    pub fn set_observer(&mut self, observer: Box<dyn CacheObserver>) {
-        self.observer = Some(observer);
-    }
-
-    /// Removes and returns the current observer, if any.
-    pub fn take_observer(&mut self) -> Option<Box<dyn CacheObserver>> {
-        self.observer.take()
-    }
-
     /// Looks up `id`, recording hit/miss statistics. Does **not** insert.
     pub fn access(&mut self, id: SuperblockId) -> AccessResult {
         self.stats.accesses += 1;
@@ -285,13 +270,6 @@ impl CodeCache {
             self.stats.cold_misses += 1;
             AccessResult::ColdMiss
         };
-        if let Some(obs) = self.observer.as_mut() {
-            obs.on_event(match result {
-                AccessResult::Hit => CacheEvent::Hit { id },
-                AccessResult::ColdMiss => CacheEvent::Miss { id, cold: true },
-                AccessResult::CapacityMiss => CacheEvent::Miss { id, cold: false },
-            });
-        }
         self.org.note_access(result.is_hit());
         result
     }
@@ -300,7 +278,8 @@ impl CodeCache {
     /// and unpatching every link into each evicted block; the settled
     /// event stream is mirrored into `sink`. Allocation-free in steady
     /// state; returns the compact [`InsertSummary`]. This is the one
-    /// insert core — every other insert entry point is a shim over it.
+    /// insert core; [`crate::CacheSession::access_or_insert`] is the
+    /// lookup-then-insert call built on it.
     ///
     /// # Errors
     ///
@@ -366,8 +345,8 @@ impl CodeCache {
     }
 
     /// Swaps the organization of an **empty** cache, preserving its
-    /// statistics, its `seen` set (so miss classification survives), its
-    /// link graph and any observer. This is the capacity-re-partitioning
+    /// statistics, its `seen` set (so miss classification survives) and
+    /// its link graph. This is the capacity-re-partitioning
     /// primitive: the Memshare-style arbiter flushes a lane, replaces its
     /// organization at the new capacity, and re-inserts the survivors —
     /// without forgetting which superblocks the tenant has ever seen.
@@ -461,7 +440,7 @@ impl CodeCache {
     /// traversal: classifies and removes all links touching each
     /// invocation's victims, updates statistics, and forwards the settled
     /// stream (with `Unlinked` events and real `links_dropped_free`) to
-    /// the observer and `sink`.
+    /// `sink`.
     fn settle(&mut self, sink: &mut dyn EventSink) -> InsertSummary {
         let mut summary = InsertSummary::default();
         let n = self.buf.len();
@@ -472,7 +451,7 @@ impl CodeCache {
                 CacheEvent::Padding { bytes } => {
                     self.stats.padding_bytes += bytes;
                     summary.padding += bytes;
-                    settle_emit!(self, sink, ev);
+                    sink.event(ev);
                 }
                 CacheEvent::EvictionBegin => {
                     // Pre-scan the invocation to learn the complete dying
@@ -501,7 +480,7 @@ impl CodeCache {
                     summary.evictions += 1;
                     summary.blocks_evicted += inv_blocks;
                     summary.bytes_evicted += inv_bytes;
-                    settle_emit!(self, sink, CacheEvent::EvictionBegin);
+                    sink.event(CacheEvent::EvictionBegin);
                     let links_before = self.links.link_count();
                     let mut unlinked_total = 0u64;
                     for k in (i + 1)..j {
@@ -519,37 +498,29 @@ impl CodeCache {
                             .filter(|s| !self.dying.contains(s))
                             .count() as u32;
                         self.links.remove_block_quiet(id);
-                        settle_emit!(self, sink, CacheEvent::Evicted { id, size });
+                        sink.event(CacheEvent::Evicted { id, size });
                         if survivors > 0 {
                             self.stats.unlink_operations += 1;
                             self.stats.links_unlinked += u64::from(survivors);
                             summary.unlink_operations += 1;
                             summary.links_unlinked += u64::from(survivors);
                             unlinked_total += u64::from(survivors);
-                            settle_emit!(
-                                self,
-                                sink,
-                                CacheEvent::Unlinked {
-                                    id,
-                                    links: survivors
-                                }
-                            );
+                            sink.event(CacheEvent::Unlinked {
+                                id,
+                                links: survivors,
+                            });
                         }
                     }
                     let links_dropped_free =
                         (links_before - self.links.link_count()) - unlinked_total;
                     self.stats.links_dropped_free += links_dropped_free;
-                    settle_emit!(
-                        self,
-                        sink,
-                        CacheEvent::EvictionEnd {
-                            bytes: inv_bytes,
-                            links_dropped_free,
-                        }
-                    );
+                    sink.event(CacheEvent::EvictionEnd {
+                        bytes: inv_bytes,
+                        links_dropped_free,
+                    });
                     i = j; // at the org's EvictionEnd; replaced by ours.
                 }
-                other => settle_emit!(self, sink, other),
+                other => sink.event(other),
             }
             i += 1;
         }
@@ -567,8 +538,7 @@ mod tests {
         SuperblockId(n)
     }
 
-    /// Inserts through the one core and materializes the owned report,
-    /// the way the deprecated `insert` shim does.
+    /// Inserts through the one core and materializes the owned report.
     fn ins(c: &mut CodeCache, id: SuperblockId, size: u32) -> InsertReport {
         let mut buf = EventBuffer::new();
         c.insert_request(InsertRequest::new(id, size), &mut buf)
@@ -747,21 +717,16 @@ mod tests {
     }
 
     #[test]
-    fn observer_sees_settled_stream() {
-        use std::sync::{Arc, Mutex};
-        let events: Arc<Mutex<Vec<CacheEvent>>> = Arc::default();
+    fn access_or_insert_streams_lookup_and_settled_insert() {
         let mut c = CodeCache::with_granularity(Granularity::Superblock, 100).unwrap();
-        let sink = Arc::clone(&events);
-        c.set_observer(Box::new(move |ev: CacheEvent| {
-            sink.lock().unwrap().push(ev);
-        }));
-        c.access(sb(1));
-        ins(&mut c, sb(1), 60);
-        c.access(sb(1));
-        ins(&mut c, sb(2), 60); // evicts sb1
-        let log = events.lock().unwrap();
+        let mut log = EventBuffer::new();
+        for id in [sb(1), sb(1), sb(2)] {
+            // The third call evicts sb1.
+            c.access_or_insert(InsertRequest::new(id, 60), &mut log)
+                .unwrap();
+        }
         assert_eq!(
-            log.as_slice(),
+            log.events(),
             &[
                 CacheEvent::Miss {
                     id: sb(1),
@@ -772,6 +737,10 @@ mod tests {
                     size: 60
                 },
                 CacheEvent::Hit { id: sb(1) },
+                CacheEvent::Miss {
+                    id: sb(2),
+                    cold: true
+                },
                 CacheEvent::EvictionBegin,
                 CacheEvent::Evicted {
                     id: sb(1),
@@ -790,23 +759,22 @@ mod tests {
     }
 
     #[test]
-    fn observer_sees_unlink_events_with_real_drop_counts() {
-        use std::sync::{Arc, Mutex};
-        let events: Arc<Mutex<Vec<CacheEvent>>> = Arc::default();
+    fn settled_stream_carries_unlinks_with_real_drop_counts() {
         let mut c = CodeCache::with_granularity(Granularity::Superblock, 100).unwrap();
         ins(&mut c, sb(1), 40);
         ins(&mut c, sb(2), 40);
         c.link(sb(2), sb(1)).unwrap(); // survivor → victim
         c.link(sb(1), sb(1)).unwrap(); // self link, dropped free
-        let sink = Arc::clone(&events);
-        c.set_observer(Box::new(move |ev: CacheEvent| {
-            sink.lock().unwrap().push(ev);
-        }));
-        ins(&mut c, sb(3), 30); // evicts sb1
-        let log = events.lock().unwrap();
+        let mut log = EventBuffer::new();
+        c.access_or_insert(InsertRequest::new(sb(3), 30), &mut log)
+            .unwrap(); // evicts sb1
         assert_eq!(
-            log.as_slice(),
+            log.events(),
             &[
+                CacheEvent::Miss {
+                    id: sb(3),
+                    cold: true
+                },
                 CacheEvent::EvictionBegin,
                 CacheEvent::Evicted {
                     id: sb(1),

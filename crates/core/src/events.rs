@@ -1,16 +1,13 @@
 //! The cache event stream — the zero-allocation spine of the workspace.
 //!
-//! Historically every [`crate::CacheOrg::insert`] heap-allocated a
-//! `RawInsert` holding `Vec<RawEviction>` values, and each consumer
-//! (the [`crate::CodeCache`] bookkeeping, the DBT engine's stub
-//! patching, the simulator's Eq. 2–4 overhead charging) re-walked those
-//! vectors. The event layer inverts that: an organization *streams*
-//! [`CacheEvent`]s into a caller-supplied [`EventSink`], the cache
-//! settles them in a single traversal, and downstream layers consume a
-//! compact [`crate::InsertSummary`] or subscribe via
-//! [`crate::CodeCache::set_observer`]. In steady state the only storage
-//! touched is a reusable scratch [`EventBuffer`] — no per-insert heap
-//! allocation.
+//! An organization *streams* [`CacheEvent`]s into a caller-supplied
+//! [`EventSink`]; the cache settles them in a single traversal and
+//! forwards the settled stream to the sink its caller passed. The sink is
+//! the one consumer interface: the simulator's Eq. 2–4 charging reads
+//! the compact [`crate::InsertSummary`], while tests, telemetry and the
+//! ladder's per-cell streams all take an `EventSink` (a closure
+//! `FnMut(CacheEvent)` is one). In steady state the only storage touched
+//! is a reusable scratch [`EventBuffer`] — no per-insert heap allocation.
 //!
 //! Event grammar per insertion (as emitted by an organization):
 //!
@@ -21,8 +18,15 @@
 //! The settled stream produced by [`crate::CodeCache`] additionally
 //! interleaves `Unlinked` after the `Evicted` events of blocks whose
 //! incoming links had to be unpatched, and fills in
-//! [`CacheEvent::EvictionEnd::links_dropped_free`]. `Hit`/`Miss` events
-//! are emitted by [`crate::CodeCache::access`] to the observer only.
+//! [`CacheEvent::EvictionEnd::links_dropped_free`]. Each
+//! [`crate::CacheSession::access_or_insert`] call streams the lookup
+//! outcome first, so one call's settled stream is
+//!
+//! ```text
+//! access := Hit | Miss ( Padding? ( EvictionBegin ( Evicted Unlinked? )+ EvictionEnd )* Inserted )?
+//! ```
+//!
+//! (a miss on an uncacheable block stops after the `Miss`).
 
 use crate::ids::SuperblockId;
 
@@ -90,6 +94,13 @@ pub enum CacheEvent {
 pub trait EventSink {
     /// Receives one event.
     fn event(&mut self, event: CacheEvent);
+}
+
+/// Any `FnMut(CacheEvent)` closure is a sink.
+impl<F: FnMut(CacheEvent)> EventSink for F {
+    fn event(&mut self, event: CacheEvent) {
+        self(event)
+    }
 }
 
 /// A reusable, growable event buffer.
@@ -235,22 +246,6 @@ impl<'a> EvictionScope<'a> {
     }
 }
 
-/// A subscriber to the settled event stream of a [`crate::CodeCache`]
-/// (see [`crate::CodeCache::set_observer`]). `Send` so an observing
-/// cache can move across the sweep runner's worker threads, and `Sync`
-/// so a cache (and a [`crate::ShardedCache`] of them) can be shared by
-/// reference without a lock.
-pub trait CacheObserver: Send + Sync {
-    /// Receives one settled event.
-    fn on_event(&mut self, event: CacheEvent);
-}
-
-impl<F: FnMut(CacheEvent) + Send + Sync> CacheObserver for F {
-    fn on_event(&mut self, event: CacheEvent) {
-        self(event)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -328,15 +323,15 @@ mod tests {
     }
 
     #[test]
-    fn closures_are_observers() {
+    fn closures_are_sinks() {
         let mut hits = 0u32;
-        let mut obs = |ev: CacheEvent| {
+        let mut sink = |ev: CacheEvent| {
             if matches!(ev, CacheEvent::Hit { .. }) {
                 hits += 1;
             }
         };
-        obs.on_event(CacheEvent::Hit { id: sb(1) });
-        obs.on_event(CacheEvent::Miss {
+        sink.event(CacheEvent::Hit { id: sb(1) });
+        sink.event(CacheEvent::Miss {
             id: sb(2),
             cold: true,
         });

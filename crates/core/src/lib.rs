@@ -69,9 +69,7 @@ pub use concurrent::{
     TenantSession,
 };
 pub use error::CacheError;
-pub use events::{
-    CacheEvent, CacheObserver, CountingSink, EventBuffer, EventSink, EvictionScope, NullSink,
-};
+pub use events::{CacheEvent, CountingSink, EventBuffer, EventSink, EvictionScope, NullSink};
 pub use ids::{Granularity, SuperblockId, UnitId};
 pub use links::LinkGraph;
 pub use org::adaptive::AdaptiveUnits;
@@ -81,7 +79,7 @@ pub use org::generational::Generational;
 pub use org::lru::LruCache;
 pub use org::preemptive::PreemptiveFlush;
 pub use org::unit_fifo::UnitFifo;
-pub use org::{CacheOrg, RawEviction, RawInsert};
+pub use org::CacheOrg;
 pub use session::{AccessOutcome, CacheSession, InsertRequest};
 pub use shard::ShardedCache;
 pub use stats::CacheStats;

@@ -217,6 +217,7 @@ impl CacheOrg for AdaptiveUnits {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::org::insert_report;
     use crate::testutil::conformance;
 
     fn sb(n: u64) -> SuperblockId {
@@ -248,7 +249,7 @@ mod tests {
         for i in 0..17u64 {
             c.note_access(false);
             c.note_access(false);
-            c.insert(sb(i), 64).unwrap();
+            insert_report(&mut c, sb(i), 64, None).unwrap();
         }
         assert!(c.unit_count() > 2, "unit count should have doubled");
         assert!(c.adaptations() >= 1);
@@ -262,7 +263,7 @@ mod tests {
         // first lap flushes a unit ⇒ invocation-dominated, no misses
         // recorded.
         for i in 0..40u64 {
-            c.insert(sb(i), 16).unwrap();
+            insert_report(&mut c, sb(i), 16, None).unwrap();
         }
         assert!(c.unit_count() < 16, "unit count should have halved");
     }
@@ -274,7 +275,7 @@ mod tests {
         // No misses, no evictions (cache big enough): no adaptation.
         for i in 0..64u64 {
             c.note_access(true);
-            c.insert(sb(i), 16).unwrap();
+            insert_report(&mut c, sb(i), 16, None).unwrap();
         }
         assert_eq!(c.unit_count(), 8);
         assert_eq!(c.adaptations(), 0);

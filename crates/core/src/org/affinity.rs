@@ -8,8 +8,8 @@
 //! [`AffinityUnits`] is that experiment. Like [`crate::UnitFifo`] it
 //! partitions the cache into N equal units flushed whole, but placement is
 //! *not* strictly sequential: an insertion carrying a placement hint (the
-//! chain partner that triggered the regeneration — see
-//! [`CacheOrg::insert_with_hint`]) goes into the **partner's unit** when
+//! chain partner that triggered the regeneration — the `partner` of
+//! [`CacheOrg::insert_events`]) goes into the **partner's unit** when
 //! there is room, keeping the about-to-be-patched link intra-unit. Hintless
 //! insertions (and hinted ones that don't fit) fall back to the fill unit,
 //! and when nothing fits anywhere the *least-recently-filled* unit is
@@ -242,6 +242,7 @@ impl CacheOrg for AffinityUnits {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::org::insert_report;
     use crate::testutil::conformance;
 
     fn sb(n: u64) -> SuperblockId {
@@ -256,16 +257,16 @@ mod tests {
     #[test]
     fn hinted_insertions_join_their_partner() {
         let mut c = AffinityUnits::new(400, 4).unwrap(); // 100-byte units
-        c.insert(sb(1), 40).unwrap(); // unit 0
-                                      // Fill unit 0 a bit more so a hintless insert would still land
-                                      // there, then place far away.
-        c.insert(sb(2), 40).unwrap(); // unit 0 (80/100)
-                                      // Hintless 60-byte block: unit 0 full → most-free unit.
-        c.insert(sb(3), 60).unwrap();
+        insert_report(&mut c, sb(1), 40, None).unwrap(); // unit 0
+                                                         // Fill unit 0 a bit more so a hintless insert would still land
+                                                         // there, then place far away.
+        insert_report(&mut c, sb(2), 40, None).unwrap(); // unit 0 (80/100)
+                                                         // Hintless 60-byte block: unit 0 full → most-free unit.
+        insert_report(&mut c, sb(3), 60, None).unwrap();
         let u3 = c.unit_of(sb(3)).unwrap();
         assert_ne!(u3, c.unit_of(sb(1)).unwrap());
         // Hinted toward sb3: lands in sb3's unit.
-        c.insert_with_hint(sb(4), 30, Some(sb(3))).unwrap();
+        insert_report(&mut c, sb(4), 30, Some(sb(3))).unwrap();
         assert_eq!(c.unit_of(sb(4)), Some(u3));
         assert_eq!(c.hinted_placements(), 1);
         assert_eq!(c.hint_hits(), 1);
@@ -274,9 +275,9 @@ mod tests {
     #[test]
     fn hint_falls_back_when_partner_unit_is_full() {
         let mut c = AffinityUnits::new(200, 2).unwrap(); // 100-byte units
-        c.insert(sb(1), 90).unwrap();
+        insert_report(&mut c, sb(1), 90, None).unwrap();
         let u1 = c.unit_of(sb(1)).unwrap();
-        c.insert_with_hint(sb(2), 50, Some(sb(1))).unwrap();
+        insert_report(&mut c, sb(2), 50, Some(sb(1))).unwrap();
         assert_ne!(c.unit_of(sb(2)), Some(u1), "no room next to the partner");
         assert_eq!(c.hint_hits(), 0);
     }
@@ -284,11 +285,11 @@ mod tests {
     #[test]
     fn full_cache_flushes_least_recently_flushed_unit() {
         let mut c = AffinityUnits::new(200, 2).unwrap();
-        c.insert(sb(1), 90).unwrap();
-        c.insert(sb(2), 90).unwrap();
+        insert_report(&mut c, sb(1), 90, None).unwrap();
+        insert_report(&mut c, sb(2), 90, None).unwrap();
         // Both units ~full; next insertion flushes unit with oldest flush
         // seq (unit 0, never flushed, index tiebreak).
-        let r = c.insert(sb(3), 50).unwrap();
+        let r = insert_report(&mut c, sb(3), 50, None).unwrap();
         assert_eq!(r.evictions.len(), 1);
         assert!(!c.contains(sb(1)));
         assert!(c.contains(sb(2)));
@@ -299,7 +300,7 @@ mod tests {
     fn stale_partner_hint_is_harmless() {
         let mut c = AffinityUnits::new(200, 2).unwrap();
         // Partner never existed.
-        c.insert_with_hint(sb(1), 40, Some(sb(99))).unwrap();
+        insert_report(&mut c, sb(1), 40, Some(sb(99))).unwrap();
         assert!(c.contains(sb(1)));
         assert_eq!(c.hinted_placements(), 1);
         assert_eq!(c.hint_hits(), 0);

@@ -135,6 +135,7 @@ impl CacheOrg for FineFifo {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::org::insert_report;
     use crate::testutil::conformance;
 
     #[test]
@@ -145,21 +146,21 @@ mod tests {
     #[test]
     fn evicts_minimum_necessary_in_fifo_order() {
         let mut c = FineFifo::new(100).unwrap();
-        c.insert(SuperblockId(0), 40).unwrap();
-        c.insert(SuperblockId(1), 40).unwrap();
+        insert_report(&mut c, SuperblockId(0), 40, None).unwrap();
+        insert_report(&mut c, SuperblockId(1), 40, None).unwrap();
         // 20 free; a 30-byte block evicts only sb0 (frees 40).
-        let r = c.insert(SuperblockId(2), 30).unwrap();
+        let r = insert_report(&mut c, SuperblockId(2), 30, None).unwrap();
         assert_eq!(r.evictions.len(), 1);
         assert_eq!(r.evictions[0].evicted, vec![(SuperblockId(0), 40)]);
         assert_eq!(c.used(), 70);
         // A 70-byte block fits after evicting just sb1 (40 frees enough).
-        let r = c.insert(SuperblockId(3), 70).unwrap();
+        let r = insert_report(&mut c, SuperblockId(3), 70, None).unwrap();
         assert_eq!(r.evictions.len(), 1);
         assert_eq!(r.evictions[0].evicted, vec![(SuperblockId(1), 40)]);
         assert!(c.contains(SuperblockId(2)));
         assert_eq!(c.used(), 100);
         // A full-capacity block evicts everything left in one invocation.
-        let r = c.insert(SuperblockId(4), 100).unwrap();
+        let r = insert_report(&mut c, SuperblockId(4), 100, None).unwrap();
         assert_eq!(r.evictions.len(), 1);
         assert_eq!(
             r.evictions[0].evicted,
@@ -170,7 +171,7 @@ mod tests {
     #[test]
     fn no_eviction_when_space_suffices() {
         let mut c = FineFifo::new(100).unwrap();
-        let r = c.insert(SuperblockId(0), 100).unwrap();
+        let r = insert_report(&mut c, SuperblockId(0), 100, None).unwrap();
         assert!(r.evictions.is_empty());
         assert_eq!(r.padding, 0);
     }
@@ -179,16 +180,16 @@ mod tests {
     fn oldest_tracks_fifo_head() {
         let mut c = FineFifo::new(100).unwrap();
         assert_eq!(c.oldest(), None);
-        c.insert(SuperblockId(5), 10).unwrap();
-        c.insert(SuperblockId(6), 10).unwrap();
+        insert_report(&mut c, SuperblockId(5), 10, None).unwrap();
+        insert_report(&mut c, SuperblockId(6), 10, None).unwrap();
         assert_eq!(c.oldest(), Some(SuperblockId(5)));
     }
 
     #[test]
     fn each_block_is_its_own_unit() {
         let mut c = FineFifo::new(100).unwrap();
-        c.insert(SuperblockId(3), 10).unwrap();
-        c.insert(SuperblockId(4), 10).unwrap();
+        insert_report(&mut c, SuperblockId(3), 10, None).unwrap();
+        insert_report(&mut c, SuperblockId(4), 10, None).unwrap();
         assert_ne!(c.unit_of(SuperblockId(3)), c.unit_of(SuperblockId(4)));
         assert_eq!(c.unit_of(SuperblockId(99)), None);
     }
@@ -197,7 +198,7 @@ mod tests {
     fn exact_fit_replacement_cycles() {
         let mut c = FineFifo::new(60).unwrap();
         for i in 0..100u64 {
-            c.insert(SuperblockId(i), 20).unwrap();
+            insert_report(&mut c, SuperblockId(i), 20, None).unwrap();
             assert!(c.used() <= 60);
             assert!(c.resident_count() <= 3);
         }

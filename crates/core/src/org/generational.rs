@@ -259,6 +259,7 @@ impl CacheOrg for Generational {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::org::insert_report;
     use crate::testutil::conformance;
 
     fn sb(n: u64) -> SuperblockId {
@@ -274,11 +275,11 @@ mod tests {
     fn reused_blocks_get_promoted_cold_blocks_die() {
         // Nursery 100 bytes, tenured 300.
         let mut c = Generational::with_config(400, 0.25, 1).unwrap();
-        c.insert(sb(1), 50).unwrap();
-        c.insert(sb(2), 50).unwrap();
+        insert_report(&mut c, sb(1), 50, None).unwrap();
+        insert_report(&mut c, sb(2), 50, None).unwrap();
         c.note_hit(sb(1)); // sb1 proves itself; sb2 stays cold
                            // Overflow the nursery: sb1 promotes, sb2 dies.
-        let r = c.insert(sb(3), 60).unwrap();
+        let r = insert_report(&mut c, sb(3), 60, None).unwrap();
         assert!(c.contains(sb(1)), "hot block must be promoted");
         assert!(!c.contains(sb(2)), "cold block must die");
         assert_eq!(c.promotions(), 1);
@@ -293,11 +294,11 @@ mod tests {
         // Promote three 50-byte blocks one after another; the third
         // promotion must evict the first from tenured.
         for i in 0..3u64 {
-            c.insert(sb(i), 50).unwrap();
+            insert_report(&mut c, sb(i), 50, None).unwrap();
             c.note_hit(sb(i));
             // Push two fillers to force the hot block out of the nursery.
-            c.insert(sb(100 + i * 2), 50).unwrap();
-            c.insert(sb(101 + i * 2), 50).unwrap();
+            insert_report(&mut c, sb(100 + i * 2), 50, None).unwrap();
+            insert_report(&mut c, sb(101 + i * 2), 50, None).unwrap();
         }
         assert_eq!(c.promotions(), 3);
         assert!(!c.contains(sb(0)), "tenured FIFO evicted the oldest");
@@ -308,10 +309,10 @@ mod tests {
     #[test]
     fn promotion_threshold_is_respected() {
         let mut c = Generational::with_config(400, 0.25, 3).unwrap();
-        c.insert(sb(1), 50).unwrap();
+        insert_report(&mut c, sb(1), 50, None).unwrap();
         c.note_hit(sb(1));
         c.note_hit(sb(1)); // only 2 hits < threshold 3
-        c.insert(sb(2), 60).unwrap(); // overflows the 100-byte nursery
+        insert_report(&mut c, sb(2), 60, None).unwrap(); // overflows the 100-byte nursery
         assert!(!c.contains(sb(1)), "2 hits must not promote at threshold 3");
         assert_eq!(c.promotions(), 0);
     }
@@ -319,9 +320,9 @@ mod tests {
     #[test]
     fn used_accounting_spans_both_regions() {
         let mut c = Generational::with_config(400, 0.25, 1).unwrap();
-        c.insert(sb(1), 50).unwrap();
+        insert_report(&mut c, sb(1), 50, None).unwrap();
         c.note_hit(sb(1));
-        c.insert(sb(2), 60).unwrap(); // promotes sb1
+        insert_report(&mut c, sb(2), 60, None).unwrap(); // promotes sb1
         assert_eq!(c.used(), 110);
         assert_eq!(c.resident_count(), 2);
         let entries = c.resident_entries();

@@ -237,6 +237,7 @@ impl CacheOrg for LruCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::org::insert_report;
     use crate::testutil::conformance;
 
     fn sb(n: u64) -> SuperblockId {
@@ -251,11 +252,11 @@ mod tests {
     #[test]
     fn evicts_least_recently_used_not_oldest() {
         let mut c = LruCache::new(100).unwrap();
-        c.insert(sb(1), 40).unwrap();
-        c.insert(sb(2), 40).unwrap();
+        insert_report(&mut c, sb(1), 40, None).unwrap();
+        insert_report(&mut c, sb(2), 40, None).unwrap();
         // Touch sb1 so sb2 becomes LRU.
         c.note_hit(sb(1));
-        let r = c.insert(sb(3), 40).unwrap();
+        let r = insert_report(&mut c, sb(3), 40, None).unwrap();
         let victims: Vec<u64> = r.evictions[0].evicted.iter().map(|&(id, _)| id.0).collect();
         assert_eq!(victims, vec![2], "sb2 was least recently used");
         assert!(c.contains(sb(1)));
@@ -264,24 +265,24 @@ mod tests {
     #[test]
     fn holes_coalesce() {
         let mut c = LruCache::new(120).unwrap();
-        c.insert(sb(1), 40).unwrap();
-        c.insert(sb(2), 40).unwrap();
-        c.insert(sb(3), 40).unwrap();
+        insert_report(&mut c, sb(1), 40, None).unwrap();
+        insert_report(&mut c, sb(2), 40, None).unwrap();
+        insert_report(&mut c, sb(3), 40, None).unwrap();
         // Evict everything via flush; the free list must be one hole again.
-        c.flush_all().unwrap();
+        assert!(c.flush_events(&mut crate::NullSink));
         assert_eq!(c.holes.len(), 1);
         assert_eq!(c.holes[&0], 120);
         // And a full-capacity block must fit.
-        assert!(c.insert(sb(4), 120).is_ok());
+        assert!(insert_report(&mut c, sb(4), 120, None).is_ok());
     }
 
     #[test]
     fn fragmentation_forces_over_eviction() {
         let mut c = LruCache::new(100).unwrap();
         // Layout: [a:40][b:20][c:40]
-        c.insert(sb(1), 40).unwrap();
-        c.insert(sb(2), 20).unwrap();
-        c.insert(sb(3), 40).unwrap();
+        insert_report(&mut c, sb(1), 40, None).unwrap();
+        insert_report(&mut c, sb(2), 20, None).unwrap();
+        insert_report(&mut c, sb(3), 40, None).unwrap();
         // Make b LRU-first, then a, then c most recent.
         c.note_hit(sb(2));
         c.note_hit(sb(1));
@@ -289,7 +290,7 @@ mod tests {
         // Evicting sb2 (LRU) frees a 20-byte hole at offset 40 — not enough
         // for 30 bytes, and not adjacent to anything free, so sb1 must also
         // go even though total free bytes (20) were "close".
-        let r = c.insert(sb(4), 30).unwrap();
+        let r = insert_report(&mut c, sb(4), 30, None).unwrap();
         assert!(r.evictions[0].evicted.len() >= 2);
         assert_eq!(
             c.fragmentation_stalls(),
@@ -302,9 +303,9 @@ mod tests {
     fn fragmentation_stall_counted_when_bytes_sufficed() {
         let mut c = LruCache::new(120).unwrap();
         // [a:40][b:20][c:40] + 20-byte tail hole.
-        c.insert(sb(1), 40).unwrap();
-        c.insert(sb(2), 20).unwrap();
-        c.insert(sb(3), 40).unwrap();
+        insert_report(&mut c, sb(1), 40, None).unwrap();
+        insert_report(&mut c, sb(2), 20, None).unwrap();
+        insert_report(&mut c, sb(3), 40, None).unwrap();
         // Make b LRU and evict it: free space is now 20 (middle) + 20
         // (tail) = 40 bytes, but scattered.
         c.note_hit(sb(1));
@@ -314,7 +315,7 @@ mod tests {
         assert_eq!(c.free_bytes(), 40);
         // d needs 40: free bytes suffice but no hole fits ⇒ stall, and a
         // (the next LRU) is sacrificed too.
-        let r = c.insert(sb(4), 40).unwrap();
+        let r = insert_report(&mut c, sb(4), 40, None).unwrap();
         assert_eq!(c.fragmentation_stalls(), 1);
         assert_eq!(r.evictions[0].evicted, vec![(sb(1), 40)]);
     }

@@ -6,12 +6,11 @@
 //! graph and the derived statistics on top.
 //!
 //! Eviction decisions are *streamed*: the required
-//! [`CacheOrg::insert_events`] writes [`CacheEvent`]s into a
+//! [`CacheOrg::insert_events`] writes [`crate::CacheEvent`]s into a
 //! caller-supplied [`EventSink`] (usually the cache's reusable scratch
-//! buffer), so the hot path performs no per-insert heap allocation. The
-//! legacy [`CacheOrg::insert`]/[`CacheOrg::insert_with_hint`] methods
-//! survive as provided shims that materialize the stream into
-//! [`RawInsert`] values for callers that still want owned reports.
+//! buffer), so the hot path performs no per-insert heap allocation.
+//! A caller that wants an owned report reassembles the stream with
+//! [`crate::InsertReport::from_events`].
 //!
 //! Provided organizations:
 //!
@@ -34,70 +33,9 @@ pub mod preemptive;
 pub mod unit_fifo;
 
 use crate::error::CacheError;
-use crate::events::{CacheEvent, EventBuffer, EventSink};
+use crate::events::EventSink;
 use crate::ids::{Granularity, SuperblockId, UnitId};
 use std::fmt;
-
-/// One invocation of the eviction mechanism: the set of superblocks it
-/// removed, in eviction order.
-///
-/// The paper charges a *fixed* invocation cost plus a per-byte cost per
-/// event (Eq. 2), so the grouping of evicted blocks into events is what the
-/// granularity trade-off is about.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct RawEviction {
-    /// `(superblock, size_bytes)` pairs removed by this invocation.
-    pub evicted: Vec<(SuperblockId, u32)>,
-}
-
-impl RawEviction {
-    /// Total bytes freed by this invocation.
-    #[must_use]
-    pub fn bytes(&self) -> u64 {
-        self.evicted.iter().map(|&(_, s)| u64::from(s)).sum()
-    }
-}
-
-/// The result of a successful insertion at the organization layer.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct RawInsert {
-    /// Eviction-mechanism invocations performed to make room (possibly
-    /// empty).
-    pub evictions: Vec<RawEviction>,
-    /// Bytes lost to padding (e.g. the unused tail of a unit skipped
-    /// because the incoming block did not fit).
-    pub padding: u64,
-}
-
-impl RawInsert {
-    /// Reassembles an owned report from an insertion's event stream.
-    #[must_use]
-    pub fn from_events(events: &[CacheEvent]) -> RawInsert {
-        let mut report = RawInsert::default();
-        let mut current: Option<RawEviction> = None;
-        for &ev in events {
-            match ev {
-                CacheEvent::Padding { bytes } => report.padding += bytes,
-                CacheEvent::EvictionBegin => current = Some(RawEviction::default()),
-                CacheEvent::Evicted { id, size } => {
-                    current
-                        .as_mut()
-                        .expect("Evicted outside EvictionBegin/End")
-                        .evicted
-                        .push((id, size));
-                }
-                CacheEvent::EvictionEnd { .. } => {
-                    report
-                        .evictions
-                        .push(current.take().expect("EvictionEnd without EvictionBegin"));
-                }
-                _ => {}
-            }
-        }
-        debug_assert!(current.is_none(), "unterminated eviction invocation");
-        report
-    }
-}
 
 /// A cache organization: placement plus eviction policy.
 ///
@@ -129,9 +67,9 @@ pub trait CacheOrg: fmt::Debug + Send + Sync {
 
     /// Inserts `id` with the given byte size, streaming the eviction
     /// decisions into `sink`. This is the primary insertion entry point;
-    /// it must emit, in order: an optional [`CacheEvent::Padding`], zero
+    /// it must emit, in order: an optional [`crate::CacheEvent::Padding`], zero
     /// or more `EvictionBegin / Evicted+ / EvictionEnd` invocations, and
-    /// a final [`CacheEvent::Inserted`]. Implementations must not buffer
+    /// a final [`crate::CacheEvent::Inserted`]. Implementations must not buffer
     /// — events are written as decisions are made, so a reused sink sees
     /// no per-insert allocation.
     ///
@@ -153,36 +91,6 @@ pub trait CacheOrg: fmt::Debug + Send + Sync {
         partner: Option<SuperblockId>,
         sink: &mut dyn EventSink,
     ) -> Result<(), CacheError>;
-
-    /// Legacy shim: inserts and materializes the event stream into an
-    /// owned [`RawInsert`]. Allocates; prefer [`CacheOrg::insert_events`]
-    /// on hot paths.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`CacheOrg::insert_events`].
-    fn insert(&mut self, id: SuperblockId, size: u32) -> Result<RawInsert, CacheError> {
-        let mut buf = EventBuffer::new();
-        self.insert_events(id, size, None, &mut buf)?;
-        Ok(RawInsert::from_events(buf.events()))
-    }
-
-    /// Legacy shim: like [`CacheOrg::insert`], forwarding the placement
-    /// hint.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`CacheOrg::insert_events`].
-    fn insert_with_hint(
-        &mut self,
-        id: SuperblockId,
-        size: u32,
-        partner: Option<SuperblockId>,
-    ) -> Result<RawInsert, CacheError> {
-        let mut buf = EventBuffer::new();
-        self.insert_events(id, size, partner, &mut buf)?;
-        Ok(RawInsert::from_events(buf.events()))
-    }
 
     /// Number of resident superblocks.
     fn resident_count(&self) -> usize;
@@ -208,22 +116,6 @@ pub trait CacheOrg: fmt::Debug + Send + Sync {
     /// events).
     fn flush_events(&mut self, sink: &mut dyn EventSink) -> bool;
 
-    /// Legacy shim: evicts everything as a single owned invocation, or
-    /// `None` if the cache was already empty.
-    fn flush_all(&mut self) -> Option<RawEviction> {
-        let mut buf = EventBuffer::new();
-        if !self.flush_events(&mut buf) {
-            return None;
-        }
-        let mut all = RawEviction::default();
-        for &ev in buf.events() {
-            if let CacheEvent::Evicted { id, size } = ev {
-                all.evicted.push((id, size));
-            }
-        }
-        Some(all)
-    }
-
     /// Feedback channel: called by [`crate::CodeCache`] after every access
     /// with the hit/miss outcome. Policies that react to runtime behaviour
     /// (preemptive flush, adaptive granularity) override this; the default
@@ -237,4 +129,18 @@ pub trait CacheOrg: fmt::Debug + Send + Sync {
     fn note_hit(&mut self, id: SuperblockId) {
         let _ = id;
     }
+}
+
+/// Test helper: inserts through [`CacheOrg::insert_events`] and
+/// reassembles the stream with [`crate::InsertReport::from_events`].
+#[cfg(test)]
+pub(crate) fn insert_report(
+    org: &mut dyn CacheOrg,
+    id: SuperblockId,
+    size: u32,
+    partner: Option<SuperblockId>,
+) -> Result<crate::InsertReport, CacheError> {
+    let mut buf = crate::EventBuffer::new();
+    org.insert_events(id, size, partner, &mut buf)?;
+    Ok(crate::InsertReport::from_events(buf.events()))
 }

@@ -189,6 +189,7 @@ impl CacheOrg for PreemptiveFlush {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::org::insert_report;
     use crate::testutil::conformance;
 
     fn sb(n: u64) -> SuperblockId {
@@ -204,9 +205,9 @@ mod tests {
     fn behaves_like_flush_without_phase_changes() {
         let mut c = PreemptiveFlush::new(100).unwrap();
         for i in 0..4 {
-            c.insert(sb(i), 25).unwrap();
+            insert_report(&mut c, sb(i), 25, None).unwrap();
         }
-        let r = c.insert(sb(4), 25).unwrap();
+        let r = insert_report(&mut c, sb(4), 25, None).unwrap();
         assert_eq!(r.evictions.len(), 1);
         assert_eq!(r.evictions[0].evicted.len(), 4);
         assert_eq!(c.preemptive_flushes(), 0);
@@ -217,14 +218,14 @@ mod tests {
         let mut c = PreemptiveFlush::with_detector(1000, 8, 0.5, 0.5).unwrap();
         // Fill to 60% with 6 blocks.
         for i in 0..6 {
-            c.insert(sb(i), 100).unwrap();
+            insert_report(&mut c, sb(i), 100, None).unwrap();
         }
         // A burst of misses (new phase): 8 misses in a window of 8.
         for _ in 0..8 {
             c.note_access(false);
         }
         // Next insertion flushes preemptively even though 400 bytes remain.
-        let r = c.insert(sb(100), 100).unwrap();
+        let r = insert_report(&mut c, sb(100), 100, None).unwrap();
         assert_eq!(c.preemptive_flushes(), 1);
         assert_eq!(r.evictions.len(), 1);
         assert_eq!(r.evictions[0].evicted.len(), 6);
@@ -234,11 +235,11 @@ mod tests {
     #[test]
     fn no_preemption_when_cache_nearly_empty() {
         let mut c = PreemptiveFlush::with_detector(1000, 8, 0.5, 0.5).unwrap();
-        c.insert(sb(0), 100).unwrap(); // 10% full
+        insert_report(&mut c, sb(0), 100, None).unwrap(); // 10% full
         for _ in 0..8 {
             c.note_access(false);
         }
-        let r = c.insert(sb(1), 100).unwrap();
+        let r = insert_report(&mut c, sb(1), 100, None).unwrap();
         assert_eq!(c.preemptive_flushes(), 0);
         assert!(r.evictions.is_empty());
     }
@@ -246,13 +247,13 @@ mod tests {
     #[test]
     fn hits_decay_the_detector() {
         let mut c = PreemptiveFlush::with_detector(1000, 4, 0.75, 0.1).unwrap();
-        c.insert(sb(0), 200).unwrap();
+        insert_report(&mut c, sb(0), 200, None).unwrap();
         // Window: miss, miss, hit, hit → fraction 0.5 < 0.75.
         c.note_access(false);
         c.note_access(false);
         c.note_access(true);
         c.note_access(true);
-        let r = c.insert(sb(1), 100).unwrap();
+        let r = insert_report(&mut c, sb(1), 100, None).unwrap();
         assert!(r.evictions.is_empty());
         assert_eq!(c.preemptive_flushes(), 0);
     }

@@ -191,6 +191,7 @@ impl CacheOrg for UnitFifo {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::org::insert_report;
     use crate::testutil::conformance;
 
     #[test]
@@ -225,15 +226,15 @@ mod tests {
     fn flush_policy_evicts_everything_at_once() {
         let mut c = UnitFifo::flush_policy(100).unwrap();
         for i in 0..4 {
-            let r = c.insert(SuperblockId(i), 25).unwrap();
+            let r = insert_report(&mut c, SuperblockId(i), 25, None).unwrap();
             assert!(r.evictions.is_empty());
         }
         assert_eq!(c.used(), 100);
         // Next insertion flushes all four.
-        let r = c.insert(SuperblockId(4), 25).unwrap();
+        let r = insert_report(&mut c, SuperblockId(4), 25, None).unwrap();
         assert_eq!(r.evictions.len(), 1);
         assert_eq!(r.evictions[0].evicted.len(), 4);
-        assert_eq!(r.evictions[0].bytes(), 100);
+        assert_eq!(r.evictions[0].bytes, 100);
         assert_eq!(c.resident_count(), 1);
     }
 
@@ -241,14 +242,14 @@ mod tests {
     fn two_units_alternate_like_mojo() {
         let mut c = UnitFifo::new(200, 2).unwrap();
         // Fill unit 0 (100 bytes).
-        c.insert(SuperblockId(0), 60).unwrap();
-        c.insert(SuperblockId(1), 40).unwrap();
+        insert_report(&mut c, SuperblockId(0), 60, None).unwrap();
+        insert_report(&mut c, SuperblockId(1), 40, None).unwrap();
         // Next goes to unit 1 — empty, no eviction.
-        let r = c.insert(SuperblockId(2), 80).unwrap();
+        let r = insert_report(&mut c, SuperblockId(2), 80, None).unwrap();
         assert!(r.evictions.is_empty());
         assert_eq!(c.unit_of(SuperblockId(2)), Some(UnitId(1)));
         // Unit 1 overflows back into unit 0, flushing blocks 0 and 1.
-        let r = c.insert(SuperblockId(3), 50).unwrap();
+        let r = insert_report(&mut c, SuperblockId(3), 50, None).unwrap();
         assert_eq!(r.evictions.len(), 1);
         let evicted: Vec<u64> = r.evictions[0].evicted.iter().map(|&(id, _)| id.0).collect();
         assert_eq!(evicted, vec![0, 1]);
@@ -258,18 +259,18 @@ mod tests {
     #[test]
     fn padding_is_reported_when_units_advance() {
         let mut c = UnitFifo::new(200, 2).unwrap();
-        c.insert(SuperblockId(0), 70).unwrap();
+        insert_report(&mut c, SuperblockId(0), 70, None).unwrap();
         // 30 bytes left in unit 0; a 50-byte block skips them.
-        let r = c.insert(SuperblockId(1), 50).unwrap();
+        let r = insert_report(&mut c, SuperblockId(1), 50, None).unwrap();
         assert_eq!(r.padding, 30);
     }
 
     #[test]
     fn block_exactly_unit_sized_fits() {
         let mut c = UnitFifo::new(100, 2).unwrap();
-        assert!(c.insert(SuperblockId(0), 50).is_ok());
+        assert!(insert_report(&mut c, SuperblockId(0), 50, None).is_ok());
         assert!(matches!(
-            c.insert(SuperblockId(1), 51),
+            insert_report(&mut c, SuperblockId(1), 51, None),
             Err(CacheError::BlockTooLarge { max: 50, .. })
         ));
     }
@@ -279,11 +280,11 @@ mod tests {
         let mut c = UnitFifo::new(300, 3).unwrap();
         // One 100-byte block per unit.
         for i in 0..3 {
-            c.insert(SuperblockId(i), 100).unwrap();
+            insert_report(&mut c, SuperblockId(i), 100, None).unwrap();
         }
         // Insertions now flush units 0, 1, 2 in order.
         for (i, expect_evicted) in [(3u64, 0u64), (4, 1), (5, 2)] {
-            let r = c.insert(SuperblockId(i), 100).unwrap();
+            let r = insert_report(&mut c, SuperblockId(i), 100, None).unwrap();
             assert_eq!(r.evictions[0].evicted[0].0, SuperblockId(expect_evicted));
         }
     }
@@ -291,9 +292,9 @@ mod tests {
     #[test]
     fn unit_of_tracks_placement() {
         let mut c = UnitFifo::new(100, 2).unwrap();
-        c.insert(SuperblockId(0), 30).unwrap();
-        c.insert(SuperblockId(1), 30).unwrap(); // still unit 0 (60 <= 50? no!)
-                                                // unit capacity is 50, so sb1 went to unit 1.
+        insert_report(&mut c, SuperblockId(0), 30, None).unwrap();
+        insert_report(&mut c, SuperblockId(1), 30, None).unwrap(); // still unit 0 (60 <= 50? no!)
+                                                                   // unit capacity is 50, so sb1 went to unit 1.
         assert_eq!(c.unit_of(SuperblockId(0)), Some(UnitId(0)));
         assert_eq!(c.unit_of(SuperblockId(1)), Some(UnitId(1)));
         assert_eq!(c.unit_of(SuperblockId(99)), None);

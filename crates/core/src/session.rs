@@ -7,8 +7,9 @@
 //! collapsed to **one evented core per verb**:
 //!
 //! * [`CacheSession::access_or_insert`] — look up, and on a miss insert
-//!   the block described by an [`InsertRequest`], streaming the settled
-//!   events into the caller's sink;
+//!   the block described by an [`InsertRequest`], streaming the whole
+//!   settled stream into the caller's sink: first the `Hit` or `Miss`,
+//!   then the insertion's events;
 //! * [`CacheSession::flush`] — evict everything, streaming likewise.
 //!
 //! Thin convenience wrappers ([`CacheSession::access_or_insert_quiet`],
@@ -18,6 +19,11 @@
 //! `cce_sim::simulator` and `cce_dbt::engine` drive any of the three
 //! through this trait; the legacy `CodeCache` quintet of shims has been
 //! deleted — [`CodeCache::insert_request`] is the one insert core.
+//!
+//! The sink is the only way to observe a session: a test that needs the
+//! stream of a session driven by someone else (a replay, a serve loop)
+//! wraps it in [`crate::testutil::Tee`], which works for bare, sharded
+//! and per-tenant sessions alike.
 
 use crate::cache::{AccessResult, CodeCache, EvictionReport, InsertReport, InsertSummary};
 use crate::error::CacheError;
@@ -102,7 +108,9 @@ pub trait CacheSession: fmt::Debug + Send {
     fn access(&mut self, id: SuperblockId) -> AccessResult;
 
     /// Looks up `req.id`; on a miss, inserts the block (evicting as
-    /// required), streaming the settled events into `sink`.
+    /// required). Streams the call's complete settled stream into
+    /// `sink`: the `Hit` or `Miss` first, then on a miss the insertion's
+    /// events, ending with `Inserted` (absent when the insert fails).
     ///
     /// # Errors
     ///
@@ -242,6 +250,7 @@ impl CacheSession for CodeCache {
         sink: &mut dyn EventSink,
     ) -> Result<AccessOutcome, CacheError> {
         let access = CodeCache::access(self, req.id);
+        sink.event(access.event(req.id));
         if access.is_hit() {
             return Ok(AccessOutcome {
                 access,
@@ -379,11 +388,17 @@ mod tests {
             .unwrap();
         let evs = buf.events();
         assert_eq!(
-            evs.first(),
-            Some(&CacheEvent::Inserted {
-                id: sb(1),
-                size: 60
-            })
+            evs[..2],
+            [
+                CacheEvent::Miss {
+                    id: sb(1),
+                    cold: true
+                },
+                CacheEvent::Inserted {
+                    id: sb(1),
+                    size: 60
+                }
+            ]
         );
         assert!(evs
             .iter()

@@ -307,26 +307,13 @@ impl CacheSession for ShardedCache {
         sink: &mut dyn EventSink,
     ) -> Result<AccessOutcome, CacheError> {
         let s = self.shard_of(req.id);
-        let access = self.lanes[s].access(req.id);
-        if access.is_hit() {
-            return Ok(AccessOutcome {
-                access,
-                inserted: None,
-            });
-        }
         // A hint routed to a different shard cannot inform placement in
         // this one; same-shard hints pass through untouched.
         let hint = req.hint.filter(|h| self.shard_of(*h) == s);
         let mut wrapper = CrossShardSink::new(sink, &mut self.xlinks);
-        let mut summary = self.lanes[s].insert_request(
-            InsertRequest::new(req.id, req.size).with_hint(hint),
-            &mut wrapper,
-        )?;
-        wrapper.settle(&mut self.extras, Some(&mut summary));
-        Ok(AccessOutcome {
-            access,
-            inserted: Some(summary),
-        })
+        let mut outcome = self.lanes[s].access_or_insert(req.with_hint(hint), &mut wrapper)?;
+        wrapper.settle(&mut self.extras, outcome.inserted.as_mut());
+        Ok(outcome)
     }
 
     fn link(&mut self, from: SuperblockId, to: SuperblockId) -> Result<bool, CacheError> {

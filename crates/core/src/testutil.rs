@@ -1,4 +1,5 @@
-//! Reusable conformance checks for [`CacheOrg`] implementations.
+//! Reusable conformance checks for [`CacheOrg`] implementations and
+//! [`CacheSession`] event streams.
 //!
 //! Promoted from an internal `#[cfg(test)]` module so out-of-crate
 //! policies (the `custom_policy` example, downstream experiments) can
@@ -11,8 +12,8 @@
 //! testutil::conformance(Box::new(UnitFifo::new(1024, 8).unwrap()));
 //! ```
 //!
-//! The suite drives a generic overflow workload through both the event
-//! stream ([`CacheOrg::insert_events`]) and the legacy shim, asserting:
+//! The suite drives a generic overflow workload through the event
+//! stream ([`CacheOrg::insert_events`]), asserting:
 //!
 //! * residency, usage and enumeration invariants after every insert;
 //! * rejection of duplicate / zero-sized / oversized insertions;
@@ -20,13 +21,22 @@
 //!   `EvictionEnd`, invocations are never empty, the byte total carried
 //!   by `EvictionEnd` equals the sum of its `Evicted` sizes **and** the
 //!   bytes actually freed, and every insert ends with `Inserted`;
-//! * `flush_events`/`flush_all` empty the cache as a single invocation.
+//! * `flush_events` empties the cache as a single invocation.
+//!
+//! For sessions: [`Tee`] records the complete stream of any session —
+//! bare, sharded or per-tenant — even while a replay drives it, and
+//! [`reconcile`] checks a recorded stream against the session's
+//! [`CacheStats`], counter by counter. [`assert_sessions_equivalent`]
+//! pins two sessions to byte-identical streams.
 
+use crate::cache::{AccessResult, InsertSummary};
 use crate::error::CacheError;
-use crate::events::{CacheEvent, EventBuffer};
-use crate::ids::SuperblockId;
+use crate::events::{CacheEvent, EventBuffer, EventSink};
+use crate::ids::{Granularity, SuperblockId};
 use crate::org::CacheOrg;
-use crate::session::{CacheSession, InsertRequest};
+use crate::session::{AccessOutcome, CacheSession, InsertRequest};
+use crate::stats::CacheStats;
+use std::fmt;
 
 /// Checks the event grammar of one insertion's stream and returns the
 /// total bytes reported evicted.
@@ -141,32 +151,23 @@ pub fn conformance(mut org: Box<dyn CacheOrg>) {
         );
     }
 
-    // Duplicate insertion is rejected (via the legacy shim, which must
-    // stay wired to the event path).
+    // Duplicate, zero-size and oversized insertions are rejected, and
+    // a failed insertion leaves no events behind.
     let last = inserted.last().unwrap().0;
+    let too_big = u32::try_from(cap + 1).unwrap_or(u32::MAX);
+    buf.clear();
     assert!(matches!(
-        org.insert(last, 64),
+        org.insert_events(last, 64, None, &mut buf),
         Err(CacheError::AlreadyResident(_))
     ));
-
-    // Zero-size insertion is rejected.
     assert!(matches!(
-        org.insert(SuperblockId(u64::MAX), 0),
+        org.insert_events(SuperblockId(u64::MAX), 0, None, &mut buf),
         Err(CacheError::ZeroSize(_))
     ));
-
-    // Oversized insertion is rejected.
-    let too_big = u32::try_from(cap + 1).unwrap_or(u32::MAX);
     assert!(matches!(
-        org.insert(SuperblockId(u64::MAX - 1), too_big),
+        org.insert_events(SuperblockId(u64::MAX - 1), too_big, None, &mut buf),
         Err(CacheError::BlockTooLarge { .. })
     ));
-
-    // Failed insertions must leave no events behind.
-    buf.clear();
-    assert!(org
-        .insert_events(SuperblockId(u64::MAX), 0, None, &mut buf)
-        .is_err());
     assert!(buf.is_empty(), "failed insert leaked events");
 
     // flush_events empties the cache as one invocation.
@@ -187,7 +188,9 @@ pub fn conformance(mut org: Box<dyn CacheOrg>) {
     assert_eq!(flushed_bytes, used_before_flush);
     assert_eq!(org.used(), 0);
     assert_eq!(org.resident_count(), 0);
-    assert!(org.flush_all().is_none());
+    buf.clear();
+    assert!(!org.flush_events(&mut buf), "empty cache flushed something");
+    assert!(buf.is_empty());
 }
 
 /// Drives two [`CacheSession`]s through the same deterministic churn
@@ -275,4 +278,154 @@ pub fn assert_sessions_equivalent<A: CacheSession, B: CacheSession>(
         "statistics diverged"
     );
     assert_eq!(a.link_census(), b.link_census(), "link censuses diverged");
+}
+
+/// A session wrapper that copies the complete stream of every call into
+/// `sink` while passing it on unchanged: `Hit`/`Miss` plus the settled
+/// insert of [`CacheSession::access_or_insert`], the settled flush of
+/// [`CacheSession::flush`], and the `Hit`/`Miss` of a bare
+/// [`CacheSession::access`]. It wraps any session — bare, sharded or
+/// per-tenant — so a test can record a session that a replay drives
+/// (there, `sink` is usually a closure pushing into shared storage).
+pub struct Tee<S, K: EventSink> {
+    /// The wrapped session.
+    pub session: S,
+    /// Receives a copy of every event.
+    pub sink: K,
+}
+
+impl<S, K: EventSink> Tee<S, K> {
+    /// Wraps `session`, copying its stream into `sink`.
+    pub fn new(session: S, sink: K) -> Tee<S, K> {
+        Tee { session, sink }
+    }
+}
+
+impl<S: fmt::Debug, K: EventSink> fmt::Debug for Tee<S, K> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Tee")
+            .field("session", &self.session)
+            .finish_non_exhaustive()
+    }
+}
+
+impl<S: CacheSession, K: EventSink + Send> CacheSession for Tee<S, K> {
+    fn access(&mut self, id: SuperblockId) -> AccessResult {
+        let result = self.session.access(id);
+        self.sink.event(result.event(id));
+        result
+    }
+
+    fn access_or_insert(
+        &mut self,
+        req: InsertRequest,
+        sink: &mut dyn EventSink,
+    ) -> Result<AccessOutcome, CacheError> {
+        let copy = &mut self.sink;
+        self.session.access_or_insert(req, &mut |ev| {
+            copy.event(ev);
+            sink.event(ev);
+        })
+    }
+
+    fn link(&mut self, from: SuperblockId, to: SuperblockId) -> Result<bool, CacheError> {
+        self.session.link(from, to)
+    }
+
+    fn flush(&mut self, sink: &mut dyn EventSink) -> Option<InsertSummary> {
+        let copy = &mut self.sink;
+        self.session.flush(&mut |ev| {
+            copy.event(ev);
+            sink.event(ev);
+        })
+    }
+
+    fn is_resident(&self, id: SuperblockId) -> bool {
+        self.session.is_resident(id)
+    }
+
+    fn contains_link(&self, from: SuperblockId, to: SuperblockId) -> bool {
+        self.session.contains_link(from, to)
+    }
+
+    fn capacity(&self) -> u64 {
+        self.session.capacity()
+    }
+
+    fn used(&self) -> u64 {
+        self.session.used()
+    }
+
+    fn resident_count(&self) -> usize {
+        self.session.resident_count()
+    }
+
+    fn granularity(&self) -> Granularity {
+        self.session.granularity()
+    }
+
+    fn stats_snapshot(&self) -> CacheStats {
+        self.session.stats_snapshot()
+    }
+
+    fn link_census(&self) -> (u64, u64) {
+        self.session.link_census()
+    }
+}
+
+/// Checks a session's complete recorded stream against its statistics:
+/// every counter the stream carries (hits, cold and capacity misses,
+/// insertions, padding, invocations, evicted blocks and bytes, unlink
+/// operations and links, free drops) must equal the count or sum of its
+/// events. `events` must cover the session's whole life, recorded
+/// through [`CacheSession::access_or_insert`] and [`CacheSession::flush`]
+/// (a bare `CodeCache::insert_request` bypasses the stream's `Hit`/`Miss`,
+/// and an arbiter's resize bypasses it altogether).
+///
+/// # Panics
+///
+/// Panics, showing both sets of counters, on any mismatch.
+pub fn reconcile(events: &[CacheEvent], stats: &CacheStats) {
+    let mut seen = CacheStats::new();
+    for &ev in events {
+        match ev {
+            CacheEvent::Hit { .. } => seen.hits += 1,
+            CacheEvent::Miss { cold, .. } => {
+                seen.misses += 1;
+                seen.cold_misses += u64::from(cold);
+                seen.capacity_misses += u64::from(!cold);
+            }
+            CacheEvent::Inserted { size, .. } => {
+                seen.insertions += 1;
+                seen.bytes_inserted += u64::from(size);
+            }
+            CacheEvent::Padding { bytes } => seen.padding_bytes += bytes,
+            CacheEvent::EvictionBegin => seen.eviction_invocations += 1,
+            CacheEvent::Evicted { size, .. } => {
+                seen.blocks_evicted += 1;
+                seen.bytes_evicted += u64::from(size);
+            }
+            CacheEvent::EvictionEnd {
+                links_dropped_free, ..
+            } => seen.links_dropped_free += links_dropped_free,
+            CacheEvent::Unlinked { links, .. } => {
+                seen.unlink_operations += 1;
+                seen.links_unlinked += u64::from(links);
+            }
+        }
+    }
+    // Links are created and high-water marks reached off-stream; every
+    // other counter must be exactly what the stream carries.
+    let from_stream = CacheStats {
+        accesses: seen.hits + seen.misses,
+        links_created: stats.links_created,
+        inter_unit_links_created: stats.inter_unit_links_created,
+        high_water_bytes: stats.high_water_bytes,
+        high_water_blocks: stats.high_water_blocks,
+        ..seen
+    };
+    assert_eq!(
+        &from_stream, stats,
+        "stream (left) and statistics (right) disagree"
+    );
 }

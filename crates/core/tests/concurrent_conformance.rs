@@ -4,51 +4,33 @@
 //!    byte-identical to a bare [`ShardedCache`] of the same geometry —
 //!    for all eight organizations and shard counts {1, 2, 4}
 //!    ([`testutil::assert_sessions_equivalent`] checks streams,
-//!    summaries, statistics and link censuses step by step).
+//!    summaries, statistics and link censuses step by step, and a
+//!    [`testutil::Tee`] on each side records the whole stream).
 //! 2. In an N-tenant, T-thread run, **every tenant's** event stream,
 //!    statistics and link census are byte-identical to that tenant
 //!    running alone single-threaded on its own sharded cache — for all
-//!    eight organizations, shard counts {1, 2, 4} and T ∈ {1, 2, 4}.
+//!    eight organizations, shard counts {1, 2, 4} and T ∈ {1, 2, 4} —
+//!    and reconciles with that tenant's statistics (no arbiter, so no
+//!    resize changes the counters off-stream).
 //!
 //! Set `CCE_TEST_THREADS=<T>` to pin part 2 to a single thread count
 //! (CI runs the suite at both 1 and 4).
 
-use cce_core::testutil::assert_sessions_equivalent;
+use cce_core::testutil::{assert_sessions_equivalent, reconcile, Tee};
 use cce_core::{
-    AdaptiveUnits, AffinityUnits, CacheError, CacheOrg, CacheSession, CodeCache, ConcurrentSession,
-    EventBuffer, FineFifo, Generational, InsertRequest, LruCache, OrgFactory, PreemptiveFlush,
-    ShardedCache, SuperblockId, TenantConfig, TenantId, UnitFifo,
+    CacheError, CacheSession, CodeCache, ConcurrentSession, EventBuffer, InsertRequest, OrgFactory,
+    ShardedCache, SuperblockId, TenantConfig, TenantId,
 };
+use common::ORGS;
 
-const ORGS: [&str; 8] = [
-    "unit_fifo(1)",
-    "unit_fifo(8)",
-    "fine_fifo",
-    "lru",
-    "preemptive",
-    "adaptive",
-    "affinity",
-    "generational",
-];
+mod common;
 
 const SHARD_COUNTS: [u32; 3] = [1, 2, 4];
 const CAPACITY: u64 = 2048;
 const TENANTS: u32 = 4;
 
 fn org_factory(kind: &'static str) -> OrgFactory {
-    Box::new(move |c| {
-        Ok(match kind {
-            "unit_fifo(1)" => Box::new(UnitFifo::new(c, 1)?) as Box<dyn CacheOrg>,
-            "unit_fifo(8)" => Box::new(UnitFifo::new(c, 8)?),
-            "fine_fifo" => Box::new(FineFifo::new(c)?),
-            "lru" => Box::new(LruCache::new(c)?),
-            "preemptive" => Box::new(PreemptiveFlush::new(c)?),
-            "adaptive" => Box::new(AdaptiveUnits::new(c, 4, 1, 64)?),
-            "affinity" => Box::new(AffinityUnits::new(c, 4)?),
-            "generational" => Box::new(Generational::new(c)?),
-            other => panic!("unknown organization {other}"),
-        })
-    })
+    Box::new(move |c| common::org(kind, c))
 }
 
 /// A solo sharded cache with the exact same per-shard organizations a
@@ -74,9 +56,12 @@ fn one_tenant_is_byte_identical_to_a_sharded_cache() {
     for kind in ORGS {
         for shards in SHARD_COUNTS {
             let session = concurrent(kind, 1, shards);
-            let mut tenant = session.tenant(TenantId(0));
-            let mut solo = solo_sharded(kind, shards);
+            let mut tenant = Tee::new(session.tenant(TenantId(0)), EventBuffer::new());
+            let mut solo = Tee::new(solo_sharded(kind, shards), EventBuffer::new());
             assert_sessions_equivalent(&mut tenant, &mut solo, 500);
+            // Each tee recorded its session's whole life.
+            assert_eq!(tenant.sink.events(), solo.sink.events());
+            reconcile(tenant.sink.events(), &tenant.stats_snapshot());
         }
     }
 }
@@ -166,6 +151,7 @@ fn every_tenant_stream_matches_its_solo_run() {
                         solo.stats_snapshot(),
                         "{label}: statistics diverged"
                     );
+                    reconcile(buf.events(), &tenant.stats_snapshot());
                     assert_eq!(
                         tenant.link_census(),
                         solo.link_census(),

@@ -5,62 +5,32 @@
 //! via the bare [`CodeCache::insert_request`] core, one through the
 //! [`CacheSession`] trait the serving layers use — and the event
 //! streams, their [`InsertReport`] reassembly, the compact summaries and
-//! the final [`cce_core::CacheStats`] must match exactly. This is the
-//! guarantee that let the legacy `#[deprecated]` insert shims be
-//! deleted: every surviving entry point is the same core.
+//! the final [`cce_core::CacheStats`] must match exactly. The trait
+//! path's stream leads with the lookup: a hit streams exactly its `Hit`,
+//! a miss its `Miss` followed by the core's settled insert. The whole
+//! trait-path stream then reconciles with the trait cache's statistics.
+//! This is the guarantee that let the legacy `#[deprecated]` insert
+//! shims be deleted: every surviving entry point is the same core.
 
+use cce_core::testutil::reconcile;
 use cce_core::{
-    AdaptiveUnits, AffinityUnits, CacheEvent, CacheOrg, CacheSession, CodeCache, EventBuffer,
-    FineFifo, Generational, InsertReport, InsertRequest, LruCache, PreemptiveFlush, SuperblockId,
-    UnitFifo,
+    AccessResult, CacheEvent, CacheOrg, CacheSession, CodeCache, EventBuffer, InsertReport,
+    InsertRequest, SuperblockId,
 };
 use cce_util::{Rng, StdRng};
+use common::ORGS;
+
+mod common;
 
 type OrgPair = (&'static str, Box<dyn CacheOrg>, Box<dyn CacheOrg>);
 
+/// Every built-in organization at `capacity`, two identical instances
+/// each.
 fn all_orgs(capacity: u64) -> Vec<OrgPair> {
-    vec![
-        (
-            "unit_fifo(1)",
-            Box::new(UnitFifo::new(capacity, 1).unwrap()),
-            Box::new(UnitFifo::new(capacity, 1).unwrap()),
-        ),
-        (
-            "unit_fifo(8)",
-            Box::new(UnitFifo::new(capacity, 8).unwrap()),
-            Box::new(UnitFifo::new(capacity, 8).unwrap()),
-        ),
-        (
-            "fine_fifo",
-            Box::new(FineFifo::new(capacity).unwrap()),
-            Box::new(FineFifo::new(capacity).unwrap()),
-        ),
-        (
-            "lru",
-            Box::new(LruCache::new(capacity).unwrap()),
-            Box::new(LruCache::new(capacity).unwrap()),
-        ),
-        (
-            "preemptive",
-            Box::new(PreemptiveFlush::new(capacity).unwrap()),
-            Box::new(PreemptiveFlush::new(capacity).unwrap()),
-        ),
-        (
-            "adaptive",
-            Box::new(AdaptiveUnits::new(capacity, 4, 1, 64).unwrap()),
-            Box::new(AdaptiveUnits::new(capacity, 4, 1, 64).unwrap()),
-        ),
-        (
-            "affinity",
-            Box::new(AffinityUnits::new(capacity, 4).unwrap()),
-            Box::new(AffinityUnits::new(capacity, 4).unwrap()),
-        ),
-        (
-            "generational",
-            Box::new(Generational::new(capacity).unwrap()),
-            Box::new(Generational::new(capacity).unwrap()),
-        ),
-    ]
+    let build = |kind| common::org(kind, capacity).unwrap();
+    ORGS.into_iter()
+        .map(|kind| (kind, build(kind), build(kind)))
+        .collect()
 }
 
 #[test]
@@ -71,6 +41,7 @@ fn core_and_trait_paths_are_equivalent_for_every_org() {
         let mut rng = StdRng::seed_from_u64(0xEC0);
         let mut core_buf = EventBuffer::new();
         let mut trait_buf = EventBuffer::new();
+        let mut trait_stream = Vec::new();
         for step in 0..600u32 {
             let id = SuperblockId(rng.gen_range(0..48u64));
             let size = rng.gen_range(16..128u32);
@@ -85,15 +56,25 @@ fn core_and_trait_paths_are_equivalent_for_every_org() {
                 .access_or_insert(req, &mut trait_buf)
                 .unwrap_or_else(|e| panic!("{name}: trait insert failed: {e}"));
             assert_eq!(access, outcome.access, "{name}: access diverged at {step}");
+            trait_stream.extend_from_slice(trait_buf.events());
             if access.is_miss() {
                 core_buf.clear();
                 let summary = core
                     .insert_request(req, &mut core_buf)
                     .unwrap_or_else(|e| panic!("{name}: core insert failed: {e}"));
-                // Byte-identical settled streams from both entry points.
+                // The trait path streams the Miss, then exactly the
+                // core's settled stream.
+                assert_eq!(
+                    trait_buf.events().first(),
+                    Some(&CacheEvent::Miss {
+                        id,
+                        cold: access == AccessResult::ColdMiss
+                    }),
+                    "{name}: a miss must lead with Miss at step {step}"
+                );
                 assert_eq!(
                     core_buf.events(),
-                    trait_buf.events(),
+                    &trait_buf.events()[1..],
                     "{name}: event streams diverged at step {step}"
                 );
                 assert_eq!(Some(summary), outcome.inserted);
@@ -129,7 +110,11 @@ fn core_and_trait_paths_are_equivalent_for_every_org() {
                 assert_eq!(depth, 0, "{name}: unbalanced EvictionBegin/End");
             } else {
                 assert!(outcome.inserted.is_none());
-                assert!(trait_buf.events().is_empty(), "{name}: a hit emits nothing");
+                assert_eq!(
+                    trait_buf.events(),
+                    &[CacheEvent::Hit { id }],
+                    "{name}: a hit emits exactly its Hit"
+                );
             }
             if rng.gen_bool(0.4) {
                 let to = SuperblockId(rng.gen_range(0..48u64));
@@ -145,6 +130,7 @@ fn core_and_trait_paths_are_equivalent_for_every_org() {
             traited.stats(),
             "{name}: final statistics diverged"
         );
+        reconcile(&trait_stream, traited.stats());
         assert_eq!(
             core.org().resident_entries(),
             traited.org().resident_entries(),

@@ -6,59 +6,28 @@
 //!    checks streams, summaries, statistics and link censuses).
 //! 2. Under multi-shard eviction the link population is conserved:
 //!    every link ever created is either still live (intra-shard,
-//!    cross-shard) or accounted as unlinked / dropped-free.
+//!    cross-shard) or accounted as unlinked / dropped-free, and the
+//!    sharded stream — cross-shard unlinks merged in — reconciles with
+//!    the aggregated statistics before and after a flush.
 
-use cce_core::testutil::assert_sessions_equivalent;
+use cce_core::testutil::{assert_sessions_equivalent, reconcile};
 use cce_core::{
-    AdaptiveUnits, AffinityUnits, CacheOrg, CacheSession, CodeCache, FineFifo, Generational,
-    Granularity, InsertRequest, LruCache, PreemptiveFlush, ShardedCache, SuperblockId, UnitFifo,
+    CacheOrg, CacheSession, CodeCache, EventBuffer, Granularity, InsertRequest, ShardedCache,
+    SuperblockId,
 };
+use common::ORGS;
+
+mod common;
 
 type OrgPair = (&'static str, Box<dyn CacheOrg>, Box<dyn CacheOrg>);
 
+/// Every built-in organization at `capacity`, two identical instances
+/// each.
 fn all_orgs(capacity: u64) -> Vec<OrgPair> {
-    vec![
-        (
-            "unit_fifo(1)",
-            Box::new(UnitFifo::new(capacity, 1).unwrap()),
-            Box::new(UnitFifo::new(capacity, 1).unwrap()),
-        ),
-        (
-            "unit_fifo(8)",
-            Box::new(UnitFifo::new(capacity, 8).unwrap()),
-            Box::new(UnitFifo::new(capacity, 8).unwrap()),
-        ),
-        (
-            "fine_fifo",
-            Box::new(FineFifo::new(capacity).unwrap()),
-            Box::new(FineFifo::new(capacity).unwrap()),
-        ),
-        (
-            "lru",
-            Box::new(LruCache::new(capacity).unwrap()),
-            Box::new(LruCache::new(capacity).unwrap()),
-        ),
-        (
-            "preemptive",
-            Box::new(PreemptiveFlush::new(capacity).unwrap()),
-            Box::new(PreemptiveFlush::new(capacity).unwrap()),
-        ),
-        (
-            "adaptive",
-            Box::new(AdaptiveUnits::new(capacity, 4, 1, 64).unwrap()),
-            Box::new(AdaptiveUnits::new(capacity, 4, 1, 64).unwrap()),
-        ),
-        (
-            "affinity",
-            Box::new(AffinityUnits::new(capacity, 4).unwrap()),
-            Box::new(AffinityUnits::new(capacity, 4).unwrap()),
-        ),
-        (
-            "generational",
-            Box::new(Generational::new(capacity).unwrap()),
-            Box::new(Generational::new(capacity).unwrap()),
-        ),
-    ]
+    let build = |kind| common::org(kind, capacity).unwrap();
+    ORGS.into_iter()
+        .map(|kind| (kind, build(kind), build(kind)))
+        .collect()
 }
 
 #[test]
@@ -84,12 +53,16 @@ fn sharded_link_population_is_conserved_under_eviction() {
             Granularity::Superblock,
         ] {
             let mut cache = ShardedCache::with_granularity(g, 4096, shards).unwrap();
+            let mut stream = EventBuffer::new();
             let mut last: Option<SuperblockId> = None;
             let mut crossings = 0u64;
             for i in 0..2000u64 {
                 let id = SuperblockId(i % 61);
                 let out = cache
-                    .access_or_insert_quiet(InsertRequest::new(id, 32 + (i % 7) as u32 * 16))
+                    .access_or_insert(
+                        InsertRequest::new(id, 32 + (i % 7) as u32 * 16),
+                        &mut stream,
+                    )
                     .expect("in-range insert");
                 if out.is_miss() {
                     if let Some(from) = last {
@@ -114,10 +87,12 @@ fn sharded_link_population_is_conserved_under_eviction() {
                 stats.links_unlinked + stats.links_dropped_free + intra + inter,
                 "census not conserved at shards={shards} g={g:?}"
             );
+            reconcile(stream.events(), &stats);
             // Flushing everything moves every live link into the
             // unlinked/dropped totals.
-            cache.flush_report();
+            cache.flush(&mut stream);
             let stats = cache.stats_snapshot();
+            reconcile(stream.events(), &stats);
             assert_eq!(cache.link_census(), (0, 0));
             assert_eq!(
                 stats.links_created,

@@ -21,12 +21,15 @@
 //! Results are **byte-identical** to the per-cell oracle — same
 //! [`CacheStats`], same f64 overhead accumulation order, same settled
 //! event stream per cell (checked by `tests/ladder_conformance.rs`).
-//! The naive path stays available as [`Engine::Naive`] and remains the
-//! reference implementation.
+//! [`simulate_ladder`] is the one entry point: its per-cell streams go
+//! to ordinary [`EventSink`]s, the interface every
+//! [`cce_core::CacheSession`] streams into, so a ladder cell and a naive
+//! run are observed the same way. The naive path stays available as
+//! [`Engine::Naive`] and remains the reference implementation.
 
 use crate::overhead::OverheadModel;
 use crate::simulator::{EventSource, SimConfig, SimError, SimResult};
-use cce_core::{CacheError, CacheEvent, CacheStats, Granularity, SuperblockId};
+use cce_core::{CacheError, CacheEvent, CacheStats, EventSink, Granularity, SuperblockId};
 use cce_dbt::TraceEvent;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -81,36 +84,6 @@ pub struct LadderCell {
     pub capacity: u64,
 }
 
-/// Receives the per-cell settled event stream from a ladder run, in
-/// exactly the order the naive engine's [`cce_core::CodeCache`]
-/// observer would see it for that cell.
-///
-/// `ACTIVE` lets the no-observer fast path compile the emission loops
-/// out entirely (hit events in particular are otherwise free).
-pub trait LadderObserver {
-    /// `false` only for [`NoObserver`]: emission sites are skipped at
-    /// compile time when the observer cannot consume them.
-    const ACTIVE: bool = true;
-    /// One settled event for ladder cell `cell` (index into the
-    /// `cells` slice passed to [`simulate_ladder_observed`]).
-    fn on_event(&mut self, cell: usize, event: CacheEvent);
-}
-
-/// Zero-cost observer for the plain [`simulate_ladder_source`] path.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NoObserver;
-
-impl LadderObserver for NoObserver {
-    const ACTIVE: bool = false;
-    fn on_event(&mut self, _cell: usize, _event: CacheEvent) {}
-}
-
-impl<F: FnMut(usize, CacheEvent)> LadderObserver for F {
-    fn on_event(&mut self, cell: usize, event: CacheEvent) {
-        self(cell, event)
-    }
-}
-
 /// Configurations simulated per pass: residency/seen/link-liveness are
 /// one bit per configuration in a `u64`. Larger ladders run in batches
 /// of 64, re-traversing the source once per batch.
@@ -121,44 +94,36 @@ const MAX_LADDER_BATCH: usize = 64;
 /// `chaining`/`charge_unlinks` switches; granularity and capacity come
 /// from each rung.
 ///
+/// `sinks` is either empty (unobserved) or holds one [`EventSink`] per
+/// rung, in `cells` order; each then receives its rung's settled event
+/// stream, byte-identical to what a [`cce_core::CodeCache`] session of
+/// that configuration streams from `access_or_insert` under the naive
+/// engine. Unobserved runs compile every emission site out.
+///
 /// Returns one [`SimResult`] per rung, in `cells` order, byte-identical
 /// to what the naive engine produces for the same configuration.
 ///
 /// # Errors
 ///
-/// [`SimError::Config`] for an empty ladder or a `Units(n)` rung whose
-/// capacity is not divisible by `n`; [`SimError::Cache`] for rung
-/// geometry the organizations themselves reject (zero capacity, more
-/// units than bytes); [`SimError::EmptyTrace`],
-/// [`SimError::UnknownSuperblock`] and [`SimError::Ingest`] exactly as
-/// the naive engine reports them.
-pub fn simulate_ladder_source<T: EventSource + ?Sized>(
+/// [`SimError::Config`] for an empty ladder, a `sinks` slice that is
+/// neither empty nor one per rung, or a `Units(n)` rung whose capacity
+/// is not divisible by `n`; [`SimError::Cache`] for rung geometry the
+/// organizations themselves reject (zero capacity, more units than
+/// bytes); [`SimError::EmptyTrace`], [`SimError::UnknownSuperblock`]
+/// and [`SimError::Ingest`] exactly as the naive engine reports them.
+pub fn simulate_ladder<T: EventSource + ?Sized>(
     source: &T,
     cells: &[LadderCell],
     base: &SimConfig,
+    sinks: &mut [&mut dyn EventSink],
 ) -> Result<Vec<SimResult>, SimError> {
-    simulate_ladder_observed(source, cells, base, &mut NoObserver)
-}
-
-/// [`simulate_ladder_source`] with a per-cell event observer. The
-/// stream delivered for each cell is byte-identical to the settled
-/// stream the naive engine's cache observer sees for that cell.
-///
-/// # Errors
-///
-/// As [`simulate_ladder_source`].
-pub fn simulate_ladder_observed<T, O>(
-    source: &T,
-    cells: &[LadderCell],
-    base: &SimConfig,
-    observer: &mut O,
-) -> Result<Vec<SimResult>, SimError>
-where
-    T: EventSource + ?Sized,
-    O: LadderObserver,
-{
     if cells.is_empty() {
         return Err(SimError::Config("ladder needs at least one configuration"));
+    }
+    if !sinks.is_empty() && sinks.len() != cells.len() {
+        return Err(SimError::Config(
+            "ladder needs one event sink per configuration, or none",
+        ));
     }
     for cell in cells {
         if cell.capacity == 0 {
@@ -183,9 +148,12 @@ where
         return Err(SimError::EmptyTrace);
     }
     let mut results = Vec::with_capacity(cells.len());
-    for (batch_idx, batch) in cells.chunks(MAX_LADDER_BATCH).enumerate() {
-        let cell_base = batch_idx * MAX_LADDER_BATCH;
-        results.extend(run_batch(source, batch, base, observer, cell_base)?);
+    let mut sink_batches = sinks.chunks_mut(MAX_LADDER_BATCH);
+    for batch in cells.chunks(MAX_LADDER_BATCH) {
+        results.extend(match sink_batches.next() {
+            Some(batch_sinks) => run_batch::<T, true>(source, batch, base, batch_sinks)?,
+            None => run_batch::<T, false>(source, batch, base, &mut [])?,
+        });
     }
     Ok(results)
 }
@@ -331,16 +299,17 @@ fn pair_is_intra(from: u32, to: u32, unit_of: Option<&[u32]>) -> bool {
     from == to || unit_of.is_some_and(|u| u[from as usize] == u[to as usize])
 }
 
-fn run_batch<T, O>(
+/// Simulates one batch of at most 64 rungs. With `OBSERVED`, `sinks`
+/// holds one sink per rung of the batch; without it, `sinks` is empty
+/// and every emission site is compiled out.
+fn run_batch<T, const OBSERVED: bool>(
     source: &T,
     cells: &[LadderCell],
     base: &SimConfig,
-    obs: &mut O,
-    cell_base: usize,
+    sinks: &mut [&mut dyn EventSink],
 ) -> Result<Vec<SimResult>, SimError>
 where
     T: EventSource + ?Sized,
-    O: LadderObserver,
 {
     let registry = source.registry();
     let event_count = source.event_count();
@@ -389,12 +358,12 @@ where
             let b = block as usize;
             let size = sh.sizes[b];
             let res_mask = sh.resident[b];
-            if O::ACTIVE {
+            if OBSERVED {
                 let mut hits = res_mask & full;
                 while hits != 0 {
                     let lane = hits.trailing_zeros() as usize;
                     hits &= hits - 1;
-                    obs.on_event(cell_base + lane, CacheEvent::Hit { id });
+                    sinks[lane].event(CacheEvent::Hit { id });
                 }
             }
             let mut misses = full & !res_mask;
@@ -409,8 +378,8 @@ where
                 } else {
                     cfg.stats.capacity_misses += 1;
                 }
-                if O::ACTIVE {
-                    obs.on_event(cell_base + lane, CacheEvent::Miss { id, cold });
+                if OBSERVED {
+                    sinks[lane].event(CacheEvent::Miss { id, cold });
                 }
                 if size == 0 {
                     return Err(SimError::Cache(CacheError::ZeroSize(id)));
@@ -423,15 +392,15 @@ where
                     cfg.miss_overhead += model.miss_cost(u64::from(size));
                     cfg.uncacheable += 1;
                 } else {
-                    miss_insert(
+                    miss_insert::<OBSERVED>(
                         cfg,
                         &mut sh,
                         b,
                         size,
                         &model,
                         base.charge_unlinks,
-                        obs,
-                        cell_base + lane,
+                        sinks,
+                        lane,
                     );
                 }
             }
@@ -489,15 +458,15 @@ where
 /// models in the oracle's order (miss, eviction, unlink — the latter
 /// two at zero when nothing was evicted, preserving f64 identity).
 #[allow(clippy::too_many_arguments)]
-fn miss_insert<O: LadderObserver>(
+fn miss_insert<const OBSERVED: bool>(
     cfg: &mut ConfigState,
     sh: &mut Shared,
     b: usize,
     size: u32,
     model: &OverheadModel,
     charge_unlinks: bool,
-    obs: &mut O,
-    cell: usize,
+    sinks: &mut [&mut dyn EventSink],
+    lane: usize,
 ) {
     let ConfigState {
         bit,
@@ -528,8 +497,8 @@ fn miss_insert<O: LadderObserver>(
                 let padding = *unit_capacity - units[*head].used;
                 if padding > 0 {
                     stats.padding_bytes += padding;
-                    if O::ACTIVE {
-                        obs.on_event(cell, CacheEvent::Padding { bytes: padding });
+                    if OBSERVED {
+                        sinks[lane].event(CacheEvent::Padding { bytes: padding });
                     }
                 }
                 *head = (*head + 1) % units.len();
@@ -538,7 +507,7 @@ fn miss_insert<O: LadderObserver>(
                     *used -= units[*head].used;
                     units[*head].used = 0;
                     *resident_blocks -= victims.len() as u64;
-                    let inv = process_invocation(
+                    let inv = process_invocation::<OBSERVED>(
                         sh,
                         &victims,
                         bit,
@@ -546,8 +515,8 @@ fn miss_insert<O: LadderObserver>(
                         stats,
                         live_intra,
                         live_inter,
-                        obs,
-                        cell,
+                        sinks,
+                        lane,
                     );
                     charge = (1, inv.0, inv.1, inv.2);
                     victims.clear();
@@ -572,8 +541,8 @@ fn miss_insert<O: LadderObserver>(
                     victims.push(victim);
                 }
                 *resident_blocks -= victims.len() as u64;
-                let inv = process_invocation(
-                    sh, &victims, bit, None, stats, live_intra, live_inter, obs, cell,
+                let inv = process_invocation::<OBSERVED>(
+                    sh, &victims, bit, None, stats, live_intra, live_inter, sinks, lane,
                 );
                 charge = (1, inv.0, inv.1, inv.2);
                 victims.clear();
@@ -590,14 +559,11 @@ fn miss_insert<O: LadderObserver>(
     stats.bytes_inserted += sz;
     stats.high_water_bytes = stats.high_water_bytes.max(*used);
     stats.high_water_blocks = stats.high_water_blocks.max(*resident_blocks);
-    if O::ACTIVE {
-        obs.on_event(
-            cell,
-            CacheEvent::Inserted {
-                id: sh.ids[b],
-                size,
-            },
-        );
+    if OBSERVED {
+        sinks[lane].event(CacheEvent::Inserted {
+            id: sh.ids[b],
+            size,
+        });
     }
     *miss_overhead += model.miss_cost(sz);
     *eviction_overhead += model.eviction_cost_total(charge.0, charge.1);
@@ -613,7 +579,7 @@ fn miss_insert<O: LadderObserver>(
 /// event run. Returns (bytes evicted, unlink operations, links
 /// unlinked) for the overhead charge.
 #[allow(clippy::too_many_arguments)]
-fn process_invocation<O: LadderObserver>(
+fn process_invocation<const OBSERVED: bool>(
     sh: &mut Shared,
     victims: &[u32],
     bit: u64,
@@ -621,8 +587,8 @@ fn process_invocation<O: LadderObserver>(
     stats: &mut CacheStats,
     live_intra: &mut u64,
     live_inter: &mut u64,
-    obs: &mut O,
-    cell: usize,
+    sinks: &mut [&mut dyn EventSink],
+    lane: usize,
 ) -> (u64, u64, u64) {
     let Shared {
         ids,
@@ -645,8 +611,8 @@ fn process_invocation<O: LadderObserver>(
     stats.eviction_invocations += 1;
     stats.blocks_evicted += victims.len() as u64;
     stats.bytes_evicted += bytes;
-    if O::ACTIVE {
-        obs.on_event(cell, CacheEvent::EvictionBegin);
+    if OBSERVED {
+        sinks[lane].event(CacheEvent::EvictionBegin);
     }
     let mut removed = 0u64;
     let mut unlinked = 0u64;
@@ -685,41 +651,32 @@ fn process_invocation<O: LadderObserver>(
             }
         }
         resident[v] &= !bit;
-        if O::ACTIVE {
-            obs.on_event(
-                cell,
-                CacheEvent::Evicted {
-                    id: ids[v],
-                    size: sizes[v],
-                },
-            );
+        if OBSERVED {
+            sinks[lane].event(CacheEvent::Evicted {
+                id: ids[v],
+                size: sizes[v],
+            });
         }
         if survivors > 0 {
             stats.unlink_operations += 1;
             stats.links_unlinked += u64::from(survivors);
             unlink_ops += 1;
             unlinked += u64::from(survivors);
-            if O::ACTIVE {
-                obs.on_event(
-                    cell,
-                    CacheEvent::Unlinked {
-                        id: ids[v],
-                        links: survivors,
-                    },
-                );
+            if OBSERVED {
+                sinks[lane].event(CacheEvent::Unlinked {
+                    id: ids[v],
+                    links: survivors,
+                });
             }
         }
     }
     let dropped = removed - unlinked;
     stats.links_dropped_free += dropped;
-    if O::ACTIVE {
-        obs.on_event(
-            cell,
-            CacheEvent::EvictionEnd {
-                bytes,
-                links_dropped_free: dropped,
-            },
-        );
+    if OBSERVED {
+        sinks[lane].event(CacheEvent::EvictionEnd {
+            bytes,
+            links_dropped_free: dropped,
+        });
     }
     (bytes, unlink_ops, unlinked)
 }
@@ -814,7 +771,7 @@ mod tests {
         let trace = trace();
         let base = SimConfig::default();
         let cells = ladder_cells(trace.max_cache_bytes());
-        let results = simulate_ladder_source(&trace, &cells, &base).unwrap();
+        let results = simulate_ladder(&trace, &cells, &base, &mut []).unwrap();
         assert_eq!(results.len(), cells.len());
         for (cell, got) in cells.iter().zip(&results) {
             let want = oracle(&trace, *cell, &base);
@@ -837,7 +794,7 @@ mod tests {
             ..SimConfig::default()
         };
         let cells = ladder_cells(trace.max_cache_bytes());
-        let results = simulate_ladder_source(&trace, &cells, &base).unwrap();
+        let results = simulate_ladder(&trace, &cells, &base, &mut []).unwrap();
         for (cell, got) in cells.iter().zip(&results) {
             assert_eq!(got, &oracle(&trace, *cell, &base));
         }
@@ -853,7 +810,7 @@ mod tests {
             .flat_map(|_| ladder_cells(trace.max_cache_bytes()))
             .collect();
         assert!(cells.len() > MAX_LADDER_BATCH);
-        let results = simulate_ladder_source(&trace, &cells, &base).unwrap();
+        let results = simulate_ladder(&trace, &cells, &base, &mut []).unwrap();
         for (a, b) in results.iter().zip(results.iter().skip(12)) {
             assert_eq!(a, b);
         }
@@ -865,7 +822,7 @@ mod tests {
     #[test]
     fn empty_ladder_is_a_config_error() {
         let trace = trace();
-        let err = simulate_ladder_source(&trace, &[], &SimConfig::default()).unwrap_err();
+        let err = simulate_ladder(&trace, &[], &SimConfig::default(), &mut []).unwrap_err();
         assert!(matches!(err, SimError::Config(_)), "{err:?}");
     }
 
@@ -876,7 +833,7 @@ mod tests {
             granularity: Granularity::units(3),
             capacity: 1_000_001,
         }];
-        let err = simulate_ladder_source(&trace, &cells, &SimConfig::default()).unwrap_err();
+        let err = simulate_ladder(&trace, &cells, &SimConfig::default(), &mut []).unwrap_err();
         assert!(matches!(err, SimError::Config(_)), "{err:?}");
     }
 
@@ -888,7 +845,7 @@ mod tests {
             capacity: 0,
         }];
         assert_eq!(
-            simulate_ladder_source(&trace, &zero, &SimConfig::default()).unwrap_err(),
+            simulate_ladder(&trace, &zero, &SimConfig::default(), &mut []).unwrap_err(),
             SimError::Cache(CacheError::ZeroCapacity)
         );
         let crowded = [LadderCell {
@@ -896,7 +853,7 @@ mod tests {
             capacity: 32,
         }];
         assert!(matches!(
-            simulate_ladder_source(&trace, &crowded, &SimConfig::default()).unwrap_err(),
+            simulate_ladder(&trace, &crowded, &SimConfig::default(), &mut []).unwrap_err(),
             SimError::Cache(CacheError::TooManyUnits { .. })
         ));
     }
@@ -909,7 +866,7 @@ mod tests {
             capacity: 4096,
         }];
         assert_eq!(
-            simulate_ladder_source(&empty, &cells, &SimConfig::default()).unwrap_err(),
+            simulate_ladder(&empty, &cells, &SimConfig::default(), &mut []).unwrap_err(),
             SimError::EmptyTrace
         );
     }

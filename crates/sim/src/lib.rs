@@ -78,7 +78,7 @@ pub mod serve;
 pub mod simulator;
 pub mod sweep;
 
-pub use ladder::{simulate_ladder_observed, simulate_ladder_source, Engine, LadderCell};
+pub use ladder::{simulate_ladder, Engine, LadderCell};
 pub use overhead::{LinearModel, OverheadModel};
 pub use regression::fit_line;
 pub use replay::{Replay, ReplayMatrix, ReplayReport};

@@ -19,7 +19,7 @@
 //! (built by [`crate::replay::Replay::matrix`]); this module holds the
 //! planner and the worker pool it runs on.
 
-use crate::ladder::{simulate_ladder_source, Engine, LadderCell};
+use crate::ladder::{simulate_ladder, Engine, LadderCell};
 use crate::pressure::{cell_config, TraceSizing};
 use crate::replay::Replay;
 use crate::simulator::{EventSource, SimConfig, SimError, SimResult};
@@ -51,7 +51,7 @@ pub struct SweepPoint {
 }
 
 /// Enumerates every `(trace, shards, pressure, granularity)` cell in
-/// canonical order. This order is the contract: [`run_matrix`] returns
+/// canonical order. This order is the contract: [`crate::ReplayMatrix::run`] returns
 /// results in exactly this sequence regardless of worker count. With
 /// `shard_counts == [1]` the sequence is identical to the historical
 /// `(trace, pressure, granularity)` order.
@@ -121,7 +121,7 @@ pub fn jobs_from(flag: Option<usize>, env: Option<&str>) -> usize {
 ///
 /// When `engine` is [`Engine::Ladder`], all unsharded cells of one
 /// trace become a single work item simulated in one pass by
-/// [`simulate_ladder_source`]; sharded cells (each shard is its own
+/// [`simulate_ladder`]; sharded cells (each shard is its own
 /// eviction domain) stay on the per-cell oracle. Either way every
 /// result lands in its plan slot, so the output — including its byte
 /// identity across `jobs` counts — is unchanged.
@@ -309,7 +309,7 @@ fn run_ladder_group<T: EventSource + ?Sized>(
             }
         }
     }
-    match simulate_ladder_source(source, &distinct, base) {
+    match simulate_ladder(source, &distinct, base, &mut []) {
         Ok(results) => members
             .iter()
             .zip(rung_of)

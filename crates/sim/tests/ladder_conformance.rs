@@ -3,14 +3,16 @@
 //! per-cell oracle — same `SimResult`s (stats, f64 overheads, census
 //! counts) and the same settled per-cell event stream — across the
 //! paper's granularity spectrum, a capacity ladder and every pressure
-//! level, on catalog workloads and on randomized traces.
+//! level, on catalog workloads and on randomized traces. Each cell's
+//! stream is also reconciled against its own `SimResult.stats`.
 //!
 //! The worker-count axis is pinned with `CCE_TEST_THREADS=<T>` exactly
 //! as in `concurrent_conformance.rs` (CI runs 1 and 4).
 
-use cce_core::{CacheEvent, CodeCache, Granularity};
+use cce_core::testutil::{reconcile, Tee};
+use cce_core::{CacheEvent, CodeCache, EventBuffer, EventSink, Granularity};
 use cce_dbt::{SuperblockInfo, TraceLog};
-use cce_sim::ladder::{simulate_ladder_observed, simulate_ladder_source, LadderCell};
+use cce_sim::ladder::{simulate_ladder, LadderCell};
 use cce_sim::{Engine, Replay, SimConfig, SimError, SimResult};
 use cce_tinyvm::program::Pc;
 use cce_workloads::catalog;
@@ -57,26 +59,43 @@ fn rungs_for(max_cache: u64) -> Vec<LadderCell> {
 }
 
 /// Runs one rung on the naive engine while recording its settled event
-/// stream through the cache observer.
+/// stream through a [`Tee`].
 fn oracle_observed(
     trace: &TraceLog,
     cell: LadderCell,
     base: &SimConfig,
 ) -> (SimResult, Vec<CacheEvent>) {
     let log = Arc::new(Mutex::new(Vec::new()));
-    let sink = Arc::clone(&log);
-    let mut cache = CodeCache::with_granularity(cell.granularity, cell.capacity).unwrap();
-    cache.set_observer(Box::new(move |ev: CacheEvent| {
-        sink.lock().unwrap().push(ev);
-    }));
+    let recorder = Arc::clone(&log);
+    let cache = CodeCache::with_granularity(cell.granularity, cell.capacity).unwrap();
+    let session = Tee::new(cache, move |ev| recorder.lock().unwrap().push(ev));
     let result = Replay::new(trace)
         .config(base)
-        .session(cache, cell.granularity.label())
+        .session(session, cell.granularity.label())
         .run()
         .unwrap()
         .into_solo();
     let events = log.lock().unwrap().clone();
     (result, events)
+}
+
+/// Runs the ladder with one recording sink per rung, and reconciles
+/// every rung's stream against its own statistics.
+fn ladder_observed(
+    trace: &TraceLog,
+    rungs: &[LadderCell],
+    base: &SimConfig,
+) -> (Vec<SimResult>, Vec<EventBuffer>) {
+    let mut streams = vec![EventBuffer::new(); rungs.len()];
+    let mut sinks: Vec<&mut dyn EventSink> = streams
+        .iter_mut()
+        .map(|s| s as &mut dyn EventSink)
+        .collect();
+    let results = simulate_ladder(trace, rungs, base, &mut sinks).unwrap();
+    for (result, stream) in results.iter().zip(&streams) {
+        reconcile(stream.events(), &result.stats);
+    }
+    (results, streams)
 }
 
 #[test]
@@ -117,9 +136,7 @@ fn per_cell_event_streams_are_byte_identical() {
     let trace = catalog::by_name("gzip").unwrap().trace(0.05, 23);
     let base = SimConfig::default();
     let rungs = rungs_for(trace.max_cache_bytes());
-    let mut streams: Vec<Vec<CacheEvent>> = vec![Vec::new(); rungs.len()];
-    let mut observer = |cell: usize, event: CacheEvent| streams[cell].push(event);
-    let results = simulate_ladder_observed(&trace, &rungs, &base, &mut observer).unwrap();
+    let (results, streams) = ladder_observed(&trace, &rungs, &base);
     for (i, rung) in rungs.iter().enumerate() {
         let (want_result, want_events) = oracle_observed(&trace, *rung, &base);
         assert_eq!(
@@ -130,7 +147,7 @@ fn per_cell_event_streams_are_byte_identical() {
             rung.capacity
         );
         assert_eq!(
-            streams[i],
+            streams[i].events(),
             want_events,
             "event stream diverged: {} @ {}",
             rung.granularity.label(),
@@ -153,7 +170,7 @@ fn chaining_and_unlink_charging_switches_conform() {
             ..SimConfig::default()
         },
     ] {
-        let results = simulate_ladder_source(&trace, &rungs, &base).unwrap();
+        let results = simulate_ladder(&trace, &rungs, &base, &mut []).unwrap();
         for (rung, got) in rungs.iter().zip(&results) {
             let (want, _) = oracle_observed(&trace, *rung, &base);
             assert_eq!(got, &want);
@@ -167,7 +184,7 @@ fn config_errors_surface_as_sim_errors_not_panics() {
     let base = SimConfig::default();
     let empty: &[LadderCell] = &[];
     assert!(matches!(
-        simulate_ladder_source(&trace, empty, &base).unwrap_err(),
+        simulate_ladder(&trace, empty, &base, &mut []).unwrap_err(),
         SimError::Config(_)
     ));
     let indivisible = [LadderCell {
@@ -175,9 +192,19 @@ fn config_errors_surface_as_sim_errors_not_panics() {
         capacity: 4001,
     }];
     assert!(matches!(
-        simulate_ladder_source(&trace, &indivisible, &base).unwrap_err(),
+        simulate_ladder(&trace, &indivisible, &base, &mut []).unwrap_err(),
         SimError::Config(_)
     ));
+    // Observed runs take one sink per rung: a short slice is a
+    // configuration error, not a panic or a silently unobserved cell.
+    let rungs = rungs_for(trace.max_cache_bytes());
+    let mut only = EventBuffer::new();
+    let mut sinks: [&mut dyn EventSink; 1] = [&mut only];
+    assert!(matches!(
+        simulate_ladder(&trace, &rungs, &base, &mut sinks).unwrap_err(),
+        SimError::Config(_)
+    ));
+    assert!(only.is_empty());
 }
 
 /// A hand-built trace whose second superblock cannot fit a FLUSH unit:
@@ -222,14 +249,17 @@ fn uncacheable_superblocks_conform() {
             capacity: 4096,
         },
     ];
-    let mut streams: Vec<Vec<CacheEvent>> = vec![Vec::new(); rungs.len()];
-    let mut observer = |cell: usize, event: CacheEvent| streams[cell].push(event);
-    let results = simulate_ladder_observed(&log, &rungs, &base, &mut observer).unwrap();
+    let (results, streams) = ladder_observed(&log, &rungs, &base);
     for (i, rung) in rungs.iter().enumerate() {
         let (want_result, want_events) = oracle_observed(&log, *rung, &base);
         assert!(want_result.uncacheable > 0, "fixture lost its point");
         assert_eq!(results[i], want_result, "{}", rung.granularity.label());
-        assert_eq!(streams[i], want_events, "{}", rung.granularity.label());
+        assert_eq!(
+            streams[i].events(),
+            want_events,
+            "{}",
+            rung.granularity.label()
+        );
     }
 }
 
@@ -310,9 +340,7 @@ fn random_traces_conform_property_style() {
                 })
             })
             .collect();
-        let mut streams: Vec<Vec<CacheEvent>> = vec![Vec::new(); rungs.len()];
-        let mut observer = |cell: usize, event: CacheEvent| streams[cell].push(event);
-        let results = simulate_ladder_observed(&log, &rungs, &base, &mut observer).unwrap();
+        let (results, streams) = ladder_observed(&log, &rungs, &base);
         for (i, rung) in rungs.iter().enumerate() {
             let (want_result, want_events) = oracle_observed(&log, *rung, &base);
             assert_eq!(
@@ -323,7 +351,7 @@ fn random_traces_conform_property_style() {
                 rung.capacity
             );
             assert_eq!(
-                streams[i],
+                streams[i].events(),
                 want_events,
                 "case={case} stream {} @ {}",
                 rung.granularity.label(),

@@ -111,7 +111,7 @@ fn lru_pays_fragmentation_on_real_workloads() {
             lru.note_hit(id);
         } else {
             resident_misses += 1;
-            let _ = lru.insert(id, sizes[&id]);
+            let _ = lru.insert_events(id, sizes[&id], None, &mut NullSink);
         }
     }
     assert!(resident_misses > 0);

@@ -4,9 +4,10 @@
 //! organization, every shard count, and every reader chunk size. These
 //! pins are what lets the sweep tooling switch ingest paths freely.
 
+use cce::core::testutil::{reconcile, Tee};
 use cce::core::{
-    AdaptiveUnits, AffinityUnits, CacheEvent, CodeCache, FineFifo, Generational, Granularity,
-    LruCache, PreemptiveFlush, UnitFifo,
+    AdaptiveUnits, AffinityUnits, CacheEvent, CacheOrg, CacheSession, CodeCache, FineFifo,
+    Generational, Granularity, LruCache, PreemptiveFlush, ShardedCache, UnitFifo,
 };
 use cce::dbt::trace_bin::{save_binary_chunked, TraceReader};
 use cce::dbt::{SharedTrace, TraceLog};
@@ -45,90 +46,83 @@ fn config(log: &TraceLog) -> SimConfig {
     }
 }
 
-/// Every built-in cache organization at `capacity`, by label.
-fn organizations(capacity: u64) -> Vec<(&'static str, CodeCache)> {
+/// Every built-in cache organization at `capacity`, by label, plus a
+/// two-shard cache whose cross-shard `Unlinked` merges reach the stream.
+fn organizations(capacity: u64) -> Vec<(&'static str, Box<dyn CacheSession>)> {
+    fn bare(org: impl CacheOrg + 'static) -> Box<dyn CacheSession> {
+        Box::new(CodeCache::new(Box::new(org)))
+    }
+    let sharded = ShardedCache::with_granularity(Granularity::units(4), capacity, 2).unwrap();
     vec![
-        (
-            "flush",
-            CodeCache::new(Box::new(UnitFifo::flush_policy(capacity).unwrap())),
-        ),
-        (
-            "unit_fifo",
-            CodeCache::new(Box::new(UnitFifo::new(capacity, 8).unwrap())),
-        ),
-        (
-            "fine_fifo",
-            CodeCache::new(Box::new(FineFifo::new(capacity).unwrap())),
-        ),
-        (
-            "lru",
-            CodeCache::new(Box::new(LruCache::new(capacity).unwrap())),
-        ),
-        (
-            "preemptive",
-            CodeCache::new(Box::new(PreemptiveFlush::new(capacity).unwrap())),
-        ),
-        (
-            "generational",
-            CodeCache::new(Box::new(Generational::new(capacity).unwrap())),
-        ),
+        ("flush", bare(UnitFifo::flush_policy(capacity).unwrap())),
+        ("unit_fifo", bare(UnitFifo::new(capacity, 8).unwrap())),
+        ("fine_fifo", bare(FineFifo::new(capacity).unwrap())),
+        ("lru", bare(LruCache::new(capacity).unwrap())),
+        ("preemptive", bare(PreemptiveFlush::new(capacity).unwrap())),
+        ("generational", bare(Generational::new(capacity).unwrap())),
         (
             "adaptive",
-            CodeCache::new(Box::new(AdaptiveUnits::new(capacity, 8, 1, 256).unwrap())),
+            bare(AdaptiveUnits::new(capacity, 8, 1, 256).unwrap()),
         ),
-        (
-            "affinity",
-            CodeCache::new(Box::new(AffinityUnits::new(capacity, 8).unwrap())),
-        ),
+        ("affinity", bare(AffinityUnits::new(capacity, 8).unwrap())),
+        ("sharded(2)", Box::new(sharded)),
     ]
 }
 
-/// Attaches an event recorder to `cache`, returning the shared buffer.
-fn record_events(cache: &mut CodeCache) -> Arc<Mutex<Vec<CacheEvent>>> {
-    let buf = Arc::new(Mutex::new(Vec::new()));
-    let sink = Arc::clone(&buf);
-    cache.set_observer(Box::new(move |ev: CacheEvent| {
-        sink.lock().expect("observer mutex").push(ev);
-    }));
-    buf
+/// Replays `label`'s session from `source`, recording its complete
+/// event stream with a [`Tee`].
+fn replay_recorded(
+    label: &'static str,
+    cfg: &SimConfig,
+    source: Replay<'_>,
+) -> (SimResult, Vec<CacheEvent>) {
+    let session = organizations(cfg.capacity)
+        .into_iter()
+        .find(|(l, _)| *l == label)
+        .map(|(_, s)| s)
+        .unwrap();
+    let log = Arc::new(Mutex::new(Vec::new()));
+    let recorder = Arc::clone(&log);
+    let tee = Tee::new(session, move |ev| recorder.lock().unwrap().push(ev));
+    let result = source
+        .config(cfg)
+        .session(tee, label)
+        .run()
+        .unwrap()
+        .into_solo();
+    let events = log.lock().unwrap().clone();
+    (result, events)
 }
 
 #[test]
 fn streaming_matches_in_memory_for_every_organization() {
     let log = trace();
     let cfg = config(&log);
-    let mut inmem_results: Vec<(&str, SimResult, Vec<CacheEvent>)> = Vec::new();
-    for (label, mut cache) in organizations(cfg.capacity) {
-        let events = record_events(&mut cache);
-        let r = Replay::new(&log)
-            .config(&cfg)
-            .session(cache, label)
-            .run()
-            .unwrap()
-            .into_solo();
-        let events = events.lock().unwrap().clone();
-        assert!(!events.is_empty(), "{label}: observer saw nothing");
-        inmem_results.push((label, r, events));
-    }
-    for (label, expected, expected_events) in &inmem_results {
-        let mut cache = organizations(cfg.capacity)
-            .into_iter()
-            .find(|(l, _)| l == label)
-            .map(|(_, c)| c)
-            .unwrap();
-        let events = record_events(&mut cache);
-        let mut rd = reader(&log, 500);
-        let got = Replay::stream(&mut rd)
-            .config(&cfg)
-            .session(cache, *label)
-            .run()
-            .unwrap()
-            .into_solo();
-        assert_eq!(&got, expected, "{label}: SimResult diverged");
+    let shared = SharedTrace::from_log(&log);
+    for (label, _) in organizations(cfg.capacity) {
+        let (expected, expected_events) = replay_recorded(label, &cfg, Replay::new(&log));
+        assert!(!expected_events.is_empty(), "{label}: tee saw nothing");
+        reconcile(&expected_events, &expected.stats);
+        if label == "sharded(2)" {
+            assert!(
+                expected_events
+                    .iter()
+                    .any(|e| matches!(e, CacheEvent::Unlinked { .. })),
+                "{label}: the sharded stream carries no unlinks"
+            );
+        }
+        let (got, events) = replay_recorded(label, &cfg, Replay::new(&shared));
+        assert_eq!(got, expected, "{label}: SharedTrace SimResult diverged");
         assert_eq!(
-            &*events.lock().unwrap(),
-            expected_events,
-            "{label}: cache-event stream diverged"
+            events, expected_events,
+            "{label}: SharedTrace cache-event stream diverged"
+        );
+        let mut rd = reader(&log, 500);
+        let (got, events) = replay_recorded(label, &cfg, Replay::stream(&mut rd));
+        assert_eq!(got, expected, "{label}: TraceReader SimResult diverged");
+        assert_eq!(
+            events, expected_events,
+            "{label}: TraceReader cache-event stream diverged"
         );
     }
 }
